@@ -1,22 +1,25 @@
-"""Flip-loop microbenchmark: the fused round kernel in isolation.
+"""Flip-loop microbenchmarks: the fused round and the backends' round loop.
 
-Where ``bench_ensemble_throughput.py`` measures end-to-end ``run()`` rates,
-this file times the per-round hot path alone — repeated ``step_all`` calls —
-for the fused :class:`~repro.core.ensemble.EnsembleDynamics` against the
-retained pre-fusion :class:`~repro.core.ensemble.ReferenceEnsembleDynamics`,
-across several replica counts.  It is the microscope for the PR 5 tentpole:
-regressions in the blocked-RNG draws, the batched index-set updates or the
-fused window kernel show up here first, before they wash out in end-to-end
-numbers.
+Where ``bench_ensemble_throughput.py`` measures end-to-end rates including
+engine construction, this file times the flip loop alone.
+``bench_flip_loop_rounds_per_second`` times single rounds — repeated
+``step_all`` calls — for the fused
+:class:`~repro.core.ensemble.EnsembleDynamics` against the retained
+pre-fusion :class:`~repro.core.ensemble.ReferenceEnsembleDynamics`, across
+several replica counts: regressions in the blocked-RNG draws, the batched
+index-set updates or the fused window kernel show up there first.
+``bench_flip_loop_backends`` times ``EnsembleDynamics.run`` under a flip
+budget, which is where the backends run their whole round loop.
 
-Both engines advance bitwise-identical dynamics (asserted by the ensemble
-test suite), so rounds/sec is a work-for-work comparison.  Quick mode trims
-the round budget only; results land in ``PERF_flip_loop.csv`` and the
-machine-readable ``BENCH_PERF_flip_loop.json``.
+Every engine and backend advances bitwise-identical dynamics (asserted by
+the test suite), so rates are work-for-work comparisons.  Quick mode trims
+the round/flip budgets only; results land in ``PERF_flip_loop*.csv`` and
+the machine-readable ``BENCH_PERF_flip_loop*.json``.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.core.backends.registry import available_backends
@@ -51,6 +54,7 @@ def flip_loop_parameters() -> dict[str, int]:
         "side": 128,
         "horizon": 3,
         "rounds": 400 if quick_mode() else 4000,
+        "flips": 2000 if quick_mode() else 8000,
     }
 
 
@@ -115,60 +119,98 @@ def bench_flip_loop_rounds_per_second(benchmark, emit):
     )
 
 
-def bench_flip_loop_backends(benchmark, emit):
-    """flips/sec per flip-loop backend at R = 8; compiled floor asserted.
+#: Replica counts of the cffi rows: 32/33 straddle the size at which the
+#: engine used to hand rounds to a separate array regime (a 2x flips/s
+#: cliff), 64 is past it.
+CFFI_REPLICA_COUNTS = (8, 32, 33, 64)
 
-    Times the same ``step_all`` hot path with each available backend on one
-    :class:`EnsembleDynamics` grid (128x128, w=3, R=8).  All backends advance
-    bitwise-identical dynamics (asserted by the cross-backend test suite), so
-    flips/sec is a work-for-work comparison.  Whenever a compiled backend
-    (numba or cffi) is available, its speedup over the numpy backend must
-    clear :data:`MIN_COMPILED_STEP_SPEEDUP`; on numpy-only hosts the bench
-    records the numpy rate and asserts nothing.
+#: The no-cliff gate: cffi flips/s at R = 33 over R = 32 must stay above this.
+MIN_CLIFF_RATIO = 0.8
+
+#: Timed repeats per row; rows report the median.
+REPEATS = 3
+
+
+def _run_flips_per_second(config, n_replicas: int, backend: str, flips: int) -> float:
+    """flips/s of one ``run(max_flips=flips)`` on a fresh, warmed engine."""
+    engine = EnsembleDynamics(config, n_replicas=n_replicas, seed=11, backend=backend)
+    engine.run(max_flips=1)  # warm-up: JIT/compile + capture
+    start = time.perf_counter()
+    result = engine.run(max_flips=flips)
+    return result.total_flips / (time.perf_counter() - start)
+
+
+def bench_flip_loop_backends(benchmark, emit):
+    """flips/sec of ``run()`` per flip-loop backend; compiled floor asserted.
+
+    Times ``EnsembleDynamics.run(max_flips=...)`` — the round loop as each
+    backend runs it — on one grid (128x128, w=3): every available backend at
+    R = 8, plus cffi at R in :data:`CFFI_REPLICA_COUNTS`, each row the
+    median of :data:`REPEATS` runs.  Whenever a compiled backend (numba or
+    cffi) is available, its R = 8 speedup over the numpy backend must clear
+    :data:`MIN_COMPILED_STEP_SPEEDUP`; with cffi, its R = 33 rate must stay
+    within :data:`MIN_CLIFF_RATIO` of its R = 32 rate.  On numpy-only hosts
+    the bench records the numpy rate and asserts nothing.
     """
     params = flip_loop_parameters()
     config = ModelConfig.square(
         side=params["side"], horizon=params["horizon"], tau=0.45
     )
-    rounds = params["rounds"]
-    n_replicas = 8
+    flips = params["flips"]
     ziggurat_exponential_tables()  # one-time calibration outside the timing
     backends = [name for name in available_backends() if name != "python"]
+    rows = [(name, 8) for name in backends]
+    if "cffi" in backends:
+        rows += [("cffi", r) for r in CFFI_REPLICA_COUNTS if r != 8]
 
     def run() -> ResultTable:
-        table = ResultTable()
-        for name in backends:
-            best = 0.0
-            for _ in range(3 if quick_mode() else 1):
-                engine = EnsembleDynamics(
-                    config, n_replicas=n_replicas, seed=11, backend=name
+        # Repeats are interleaved across rows, so host drift during the
+        # bench lands on every row alike instead of on whichever row ran
+        # while it lasted (the R=33 / R=32 gate compares two rows).
+        samples: dict[tuple[str, int], list[float]] = {row: [] for row in rows}
+        for _ in range(REPEATS):
+            for name, n_replicas in rows:
+                samples[name, n_replicas].append(
+                    _run_flips_per_second(config, n_replicas, name, flips)
                 )
-                engine.step_all()  # warm-up: JIT/compile + capture
-                best = max(best, _rounds_per_second(engine, rounds))
+        table = ResultTable()
+        for (name, n_replicas), rates in samples.items():
             table.add_row(
                 engine=name,
                 n_replicas=n_replicas,
-                rounds=rounds,
-                rounds_per_second=best,
-                flips_per_second=best * n_replicas,
+                max_flips=flips,
+                flips_per_second=statistics.median(rates),
             )
         return table
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
-    rates = {row["engine"]: row["flips_per_second"] for row in table.rows}
+    rates = {
+        (row["engine"], row["n_replicas"]): row["flips_per_second"]
+        for row in table.rows
+    }
     benchmark.extra_info["quick_mode"] = quick_mode()
     benchmark.extra_info["backends"] = ",".join(backends)
-    for name, rate in rates.items():
-        benchmark.extra_info[f"flips_per_second_{name}"] = float(rate)
-        if name != "numpy":
+    for (name, n_replicas), rate in rates.items():
+        benchmark.extra_info[f"flips_per_second_{name}_r{n_replicas}"] = float(rate)
+        if name != "numpy" and n_replicas == 8:
             benchmark.extra_info[f"speedup_{name}"] = float(
-                rate / rates["numpy"]
+                rate / rates["numpy", 8]
             )
+    if "cffi" in backends:
+        benchmark.extra_info["cffi_r33_over_r32"] = float(
+            rates["cffi", 33] / rates["cffi", 32]
+        )
     emit("PERF_flip_loop_backends", table, benchmark)
     compiled = [name for name in backends if name in COMPILED_BACKENDS]
     for name in compiled:
-        speedup = rates[name] / rates["numpy"]
+        speedup = rates[name, 8] / rates["numpy", 8]
         assert speedup >= MIN_COMPILED_STEP_SPEEDUP, (
             f"{name} backend {speedup:.2f}x below the "
             f"{MIN_COMPILED_STEP_SPEEDUP}x flips/sec floor over numpy"
+        )
+    if "cffi" in backends:
+        ratio = rates["cffi", 33] / rates["cffi", 32]
+        assert ratio >= MIN_CLIFF_RATIO, (
+            f"cffi flips/s at R=33 is {ratio:.2f}x its R=32 rate, below the "
+            f"{MIN_CLIFF_RATIO}x no-cliff floor"
         )

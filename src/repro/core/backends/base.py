@@ -1,14 +1,15 @@
 """The flip-loop backend protocol.
 
-The ensemble engine's innermost layer — one round's scalar control plane
+The ensemble engine's innermost layer — the round loop (per-round active
+set from the run's budgets), one round's scalar control plane
 (termination/sampler filtering, blocked RNG draws, clock updates, candidate
 gathers), the fused gather-classify-scatter window kernel, and the coded-op
 membership updates on :class:`~repro.utils.indexset.BatchedIndexSet`
 storage — is pluggable.  A :class:`FlipLoopBackend` implements exactly those
-three operations over the engine's batched arrays; everything above them
-(seeding, the run loop, budgets, trajectories, the public result surface)
-is shared, so backends can only differ in *how* a round executes, never in
-what a round means.
+operations over the engine's batched arrays; everything above them
+(seeding, argument checks, trajectories, the public result surface) is
+shared, so backends can only differ in *how* rounds execute, never in what
+a round means.
 
 The contract is bitwise: every backend must consume the pre-drawn
 :class:`~repro.rng.BlockedReplicaStreams` words in exactly the reference
@@ -20,7 +21,7 @@ for every backend the host can run.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -49,31 +50,55 @@ class FlipLoopBackend:
     def step_round(self, candidates: np.ndarray) -> np.ndarray:
         """Advance every candidate replica by one scheduler step.
 
-        The scalar-regime round: per listed replica, termination and sampler
-        checks, the blocked RNG draws (waiting time under the continuous
-        scheduler, then the Lemire candidate), clock/step updates, the member
-        gather and the discrete-scheduler flip gate — then the fused window
-        update and per-flip bookkeeping for every replica that flips.
+        Per listed replica: termination and sampler checks, the blocked RNG
+        draws (waiting time under the continuous scheduler, then the Lemire
+        candidate), clock/step updates, the member gather and the
+        discrete-scheduler flip gate.  Then the fused window update for
+        every replica that flips: gather the flip's neighbourhood window,
+        update the incremental same-type counts, reclassify via the engine's
+        code LUT, maintain the deferred energy/magnetization counters, and
+        stream the membership deltas into the samplers as coded operations.
         Returns the array of replica indices that flipped.
         """
         raise NotImplementedError
 
-    def apply_flips(
+    def run_rounds(
         self,
-        reps: np.ndarray,
-        flats: np.ndarray,
-        bases: Optional[np.ndarray] = None,
-    ) -> None:
-        """Flip one site per listed replica — the fused window kernel.
+        start_flips: np.ndarray,
+        start_steps: np.ndarray,
+        max_flips: int,
+        max_steps: int,
+        max_time: float,
+        record_every: int,
+    ) -> int:
+        """Run lockstep rounds until the run ends or a sample is due.
 
-        Gather each flip's neighbourhood window, update the incremental
-        same-type counts, reclassify via the engine's code LUT, maintain the
-        deferred energy/magnetization counters, and stream the resulting
-        membership deltas into the samplers as coded operations.  Used both
-        by :meth:`step_round` and by the engine's vectorized large-round
-        path.
+        Each round's active set is every replica that is not terminated,
+        whose flips and steps since ``start_flips``/``start_steps`` are below
+        ``max_flips``/``max_steps`` and whose clock is below ``max_time``
+        (the engine passes concrete budgets: ``2**63 - 1`` and ``inf`` mean
+        none).  Returns the number of rounds run: fewer than a positive
+        ``record_every`` means no replica was left active; exactly
+        ``record_every`` means a trajectory sample is due before the next
+        call.  ``record_every == 0`` runs until no replica is active.
+
+        This default is the host loop over :meth:`step_round`; the kernel
+        backends run the same loop natively and surface to the host only
+        for RNG events.
         """
-        raise NotImplementedError
+        engine = self.engine
+        rounds = 0
+        while record_every == 0 or rounds < record_every:
+            active = engine._termination_counts() != 0
+            active &= (engine._n_flips - start_flips) < max_flips
+            active &= (np.asarray(engine._n_steps) - start_steps) < max_steps
+            active &= np.asarray(engine._times) < max_time
+            candidates = np.flatnonzero(active)
+            if candidates.size == 0:
+                break
+            self.step_round(candidates)
+            rounds += 1
+        return rounds
 
     def apply_coded_ops(
         self,

@@ -11,12 +11,20 @@ process — and loaded through ``cffi``'s ABI-mode ``dlopen``.
 
 The hot-call overhead problem (a round at R=8 lasts microseconds; marshaling
 ~30 array arguments through cffi per call would swamp the kernel) is solved
-with a pointer-capture struct: :class:`CffiBackend` fills a ``repro_state``
-struct with raw pointers into the engine's arrays once per runtime
-generation, and each round passes that single struct pointer.  The struct is
+twice over.  A pointer-capture struct: :class:`CffiBackend` fills a
+``repro_state`` struct with raw pointers into the engine's arrays — the
+round loop's candidate buffer and resume state included — once per runtime
+generation, and each call passes that single struct pointer.  And the round
+loop itself runs in C (``repro_run_rounds``), so a run crosses into Python
+only for RNG events and trajectory samples, never per round.  The struct is
 rebuilt by the :class:`~repro.core.backends.kernel_backend.KernelLoopBackend`
 capture hook whenever the engine bumps ``_runtime_generation``, which is
 what makes holding raw pointers safe.
+
+The library cache directory is a trust boundary: ``dlopen`` runs library
+constructors before ``repro_selfcheck()`` can, so a cache directory
+another account could write into disables the backend (see
+:func:`cffi_unavailable_reason`) instead of being loaded from.
 """
 
 from __future__ import annotations
@@ -24,8 +32,10 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
+import warnings
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,6 +91,11 @@ typedef struct {
     int64_t *op_indices;
     int64_t *op_toggled;
     int64_t *op_members;
+    int64_t *flip_counts;
+    int64_t *start_flips;
+    int64_t *start_steps;
+    int64_t *cand;
+    int64_t *resume;
 } repro_state;
 
 int64_t repro_step_round(repro_state *st, const int64_t *candidates,
@@ -93,6 +108,9 @@ void repro_coded_ops(const int64_t *rows, const int64_t *indices,
                      const int64_t *toggled, const int64_t *member_codes,
                      int64_t n_ops, int64_t *members, int64_t *positions,
                      int64_t *counts, int64_t capacity, int64_t row_offset);
+int64_t repro_run_rounds(repro_state *st, int64_t max_flips,
+                         int64_t max_steps, double max_time,
+                         int64_t record_every, int64_t track);
 int64_t repro_selfcheck(void);
 """
 
@@ -342,6 +360,73 @@ void repro_coded_ops(const int64_t *rows, const int64_t *indices,
     }
 }
 
+int64_t repro_run_rounds(repro_state *st, int64_t max_flips,
+                         int64_t max_steps, double max_time,
+                         int64_t record_every, int64_t track)
+{
+    int64_t *resume = st->resume;
+    int64_t in_round = resume[0];
+    int64_t n_cand = resume[1];
+    int64_t index = resume[2];
+    int64_t phase = resume[3];
+    int64_t n_out = resume[4];
+    int64_t rounds = resume[5];
+    for (;;) {
+        if (in_round == 0) {
+            if (record_every > 0 && rounds >= record_every)
+                break;
+            n_cand = 0;
+            for (int64_t replica = 0; replica < st->n_replicas; replica++) {
+                if (st->counts[replica + st->term_offset] == 0)
+                    continue;
+                if (st->flip_counts[replica] - st->start_flips[replica]
+                    >= max_flips)
+                    continue;
+                if (st->steps[replica] - st->start_steps[replica]
+                    >= max_steps)
+                    continue;
+                if (!(st->times[replica] < max_time))
+                    continue;
+                st->cand[n_cand] = replica;
+                n_cand += 1;
+            }
+            if (n_cand == 0)
+                break;
+            index = 0;
+            phase = PHASE_START;
+            n_out = 0;
+            in_round = 1;
+        }
+        int64_t status =
+            repro_step_round(st, st->cand, n_cand, index, phase, n_out);
+        if (status != STATUS_DONE) {
+            resume[0] = 1;
+            resume[1] = n_cand;
+            resume[2] = st->event[1];
+            resume[4] = st->event[2];
+            resume[5] = rounds;
+            return status;
+        }
+        n_out = st->event[2];
+        if (n_out > 0) {
+            int64_t n_ops = repro_apply_flips(st, st->out_reps, st->out_flats,
+                                              n_out, track);
+            if (n_ops > 0)
+                repro_coded_ops(st->op_rows, st->op_indices, st->op_toggled,
+                                st->op_members, n_ops, st->members,
+                                st->positions, st->counts, st->n_sites,
+                                st->n_replicas);
+            for (int64_t k = 0; k < n_out; k++)
+                st->flip_counts[st->out_reps[k]] += 1;
+        }
+        rounds += 1;
+        in_round = 0;
+    }
+    resume[0] = 0;
+    resume[5] = rounds;
+    return STATUS_DONE;
+}
+
 int64_t repro_selfcheck(void)
 {
     /* Probe the double semantics the bitwise contract needs: exact
@@ -377,8 +462,39 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
+class UntrustedCacheError(RuntimeError):
+    """The compiled-library cache directory could be written by others."""
+
+
+def _check_cache_dir(cache_dir: str, uid: int) -> None:
+    """Refuse a cache directory another account could have planted into.
+
+    ``dlopen`` runs a library's constructors before any self-check can, so
+    the directory the library is loaded from must be a real directory (not
+    a symlink), owned by this user, and not writable by group or others.
+    """
+    info = os.lstat(cache_dir)
+    if stat.S_ISLNK(info.st_mode):
+        problem = "is a symlink"
+    elif not stat.S_ISDIR(info.st_mode):
+        problem = "is not a directory"
+    elif info.st_uid != uid:
+        problem = f"is owned by uid {info.st_uid}, not {uid}"
+    elif info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        problem = f"is group/other-writable (mode {info.st_mode & 0o777:o})"
+    else:
+        return
+    raise UntrustedCacheError(
+        f"untrusted compiled-library cache: {cache_dir} {problem}"
+    )
+
+
 def _library_path() -> str:
-    """Per-user cache path for the compiled shared object, hash-keyed."""
+    """Per-user cache path for the compiled shared object, hash-keyed.
+
+    Raises :class:`UntrustedCacheError` when the cache directory fails
+    :func:`_check_cache_dir`.
+    """
     digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
     try:
         uid = os.getuid()
@@ -388,6 +504,7 @@ def _library_path() -> str:
         tempfile.gettempdir(), f"repro-cffi-{uid}"
     )
     os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+    _check_cache_dir(cache_dir, uid)
     return os.path.join(cache_dir, f"libreproflip-{digest}.so")
 
 
@@ -399,13 +516,14 @@ def _load_library():
     """
     if "lib" in _CACHE:
         return _CACHE["ffi"], _CACHE["lib"]
+    # The trust check comes first: it fails closed whatever else is missing.
+    so_path = _library_path()
     try:
         import cffi
     except ImportError as exc:  # pragma: no cover - cffi ships with image
         raise RuntimeError(f"cffi not importable: {exc}") from exc
     ffi = cffi.FFI()
     ffi.cdef(_CDEF)
-    so_path = _library_path()
     if not os.path.exists(so_path):
         compiler = _find_compiler()
         if compiler is None:
@@ -450,6 +568,12 @@ def cffi_available() -> bool:
         return True
     except (RuntimeError, OSError, subprocess.TimeoutExpired) as exc:
         _UNAVAILABLE_REASON = str(exc)
+        if isinstance(exc, UntrustedCacheError):
+            # Not a capability gap but a refused trust check: say so once
+            # (the probe is memoized) even when auto selection falls back.
+            warnings.warn(
+                f"cffi backend disabled: {exc}", RuntimeWarning, stacklevel=2
+            )
         return False
 
 
@@ -464,9 +588,9 @@ class CffiBackend(KernelLoopBackend):
 
     name = "cffi"
 
-    def _get_kernels(self) -> tuple[Callable, Callable, Callable]:
-        """The C entry points replace the kernel trio; nothing to bind."""
-        return (None, None, None)
+    def _get_kernels(self) -> tuple[Callable, Callable, Callable, Callable]:
+        """The C entry points replace the kernels; nothing to bind."""
+        return (None, None, None, None)
 
     def _capture(self) -> None:
         super()._capture()
@@ -522,9 +646,15 @@ class CffiBackend(KernelLoopBackend):
         st.op_indices = ptr("int64_t *", self._op_indices)
         st.op_toggled = ptr("int64_t *", self._op_toggled)
         st.op_members = ptr("int64_t *", self._op_members)
+        st.flip_counts = ptr("int64_t *", engine._n_flips)
+        st.start_flips = ptr("int64_t *", self._start_flips)
+        st.start_steps = ptr("int64_t *", self._start_steps)
+        st.cand = ptr("int64_t *", self._cand)
+        st.resume = ptr("int64_t *", self._resume)
         self._state = st
         self._step_fn = lib.repro_step_round
         self._flips_fn = lib.repro_apply_flips
+        self._run_fn = lib.repro_run_rounds
 
     def _ptr(self, ctype: str, array: np.ndarray):
         """Raw pointer into ``array``'s buffer (writable, zero-copy)."""
@@ -538,6 +668,20 @@ class CffiBackend(KernelLoopBackend):
         )
         return self._step_fn(
             self._state, cand_ptr, cand.size, index, phase, collected
+        )
+
+    def _invoke_run(
+        self,
+        max_flips: int,
+        max_steps: int,
+        max_time: float,
+        record_every: int,
+        track: int,
+    ) -> int:
+        # Every array the loop touches is in the captured struct, so a call
+        # marshals five scalars and no buffers.
+        return self._run_fn(
+            self._state, max_flips, max_steps, max_time, record_every, track
         )
 
     def _invoke_flips(self, reps: np.ndarray, flats: np.ndarray) -> int:

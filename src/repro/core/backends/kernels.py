@@ -18,11 +18,12 @@ these functions statement for statement.
 Bitwise-exactness rules the kernels obey:
 
 * RNG words are consumed in exactly the order of
-  :meth:`repro.rng.BlockedReplicaStreams.draw_step`'s scalar loop — the
-  fourth implementation of that word-consumption protocol (see the NOTE
-  there); the cross-backend boundary tests pin this copy too.
+  :meth:`repro.rng.BlockedReplicaStreams.draw_step`'s scalar loop — one of
+  the five implementations of that word-consumption protocol listed in the
+  NOTE there; the cross-backend boundary tests pin this copy too.
 * The rare slow paths (block refill, ziggurat slow path) are *not*
-  reimplemented: the step kernel returns a status code and the Python
+  reimplemented: the step kernel — and the round loop around it,
+  :func:`make_run_rounds_kernel` — returns a status code and the Python
   wrapper (:class:`~repro.core.backends.kernel_backend.KernelLoopBackend`)
   services the event through the stream's own methods, then resumes the
   kernel at the exact phase it left.  Fast paths therefore never diverge
@@ -350,3 +351,208 @@ def coded_ops_kernel(
                 positions[pair_base + last] = position
                 positions[target] = -1
     return 0
+
+
+def make_run_rounds_kernel(step_kernel, flips_kernel, ops_kernel):
+    """Bind the round loop to one execution mode's three kernels.
+
+    The round loop calls the step, window and coded-op kernels it is given,
+    so one source serves both modes: the module-level
+    :data:`run_rounds_kernel` closes over the interpreted kernels, and the
+    numba backend closes ``numba.njit`` over the compiled trio (numba
+    resolves closure variables that hold dispatchers at compile time).
+    """
+
+    def run_rounds_kernel(
+        max_flips,
+        max_steps,
+        max_time,
+        record_every,
+        track,
+        cand,
+        resume,
+        flip_counts,
+        start_flips,
+        start_steps,
+        n_replicas,
+        counts,
+        members,
+        positions,
+        times,
+        steps,
+        code,
+        words,
+        pos,
+        has32,
+        buf32,
+        ke,
+        we,
+        block,
+        n_sites,
+        term_offset,
+        sampler_offset,
+        continuous,
+        discrete_gate,
+        out_reps,
+        out_flats,
+        event,
+        spins,
+        same,
+        full_lut,
+        window_lut,
+        row_lut,
+        col_lut,
+        n_cols,
+        window_side,
+        window_area,
+        center_col,
+        total,
+        code_lut,
+        energies,
+        n_plus,
+        win_buf,
+        spin_buf,
+        same_buf,
+        old_code_buf,
+        new_code_buf,
+        op_rows,
+        op_indices,
+        op_toggled,
+        op_members,
+    ):
+        """Run whole rounds until the run ends, a sample is due or an event.
+
+        Each round rebuilds the active set (replicas not terminated whose
+        flips/steps since ``start_*`` are below the budgets and whose clock
+        is below ``max_time``), runs the step kernel over it, applies the
+        round's flips and coded ops, and bumps ``flip_counts``.  Returns
+        ``STATUS_DONE`` once no replica is active or, when ``record_every``
+        is positive, once ``record_every`` rounds have run; ``resume[5]``
+        holds the round count.  Any other status is a step-kernel event:
+        ``event`` names the replica, ``resume`` holds ``(in_round, n_cand,
+        index, phase, n_out, rounds)`` and the host services the event,
+        sets ``resume[3]`` to the phase to re-enter, and calls again.
+        """
+        in_round = resume[0]
+        n_cand = resume[1]
+        index = resume[2]
+        phase = resume[3]
+        n_out = resume[4]
+        rounds = resume[5]
+        while True:
+            if in_round == 0:
+                if record_every > 0 and rounds >= record_every:
+                    break
+                n_cand = 0
+                for replica in range(n_replicas):
+                    if counts[replica + term_offset] == 0:
+                        continue
+                    if flip_counts[replica] - start_flips[replica] >= max_flips:
+                        continue
+                    if steps[replica] - start_steps[replica] >= max_steps:
+                        continue
+                    if not times[replica] < max_time:
+                        continue
+                    cand[n_cand] = replica
+                    n_cand += 1
+                if n_cand == 0:
+                    break
+                index = 0
+                phase = PHASE_START
+                n_out = 0
+                in_round = 1
+            status = step_kernel(
+                cand,
+                n_cand,
+                index,
+                phase,
+                n_out,
+                counts,
+                members,
+                times,
+                steps,
+                code,
+                words,
+                pos,
+                has32,
+                buf32,
+                ke,
+                we,
+                block,
+                n_sites,
+                term_offset,
+                sampler_offset,
+                continuous,
+                discrete_gate,
+                out_reps,
+                out_flats,
+                event,
+            )
+            if status != STATUS_DONE:
+                resume[0] = 1
+                resume[1] = n_cand
+                resume[2] = event[1]
+                resume[4] = event[2]
+                resume[5] = rounds
+                return status
+            n_out = event[2]
+            if n_out > 0:
+                n_ops = flips_kernel(
+                    out_reps,
+                    out_flats,
+                    n_out,
+                    spins,
+                    same,
+                    code,
+                    full_lut,
+                    window_lut,
+                    row_lut,
+                    col_lut,
+                    n_cols,
+                    window_side,
+                    window_area,
+                    center_col,
+                    total,
+                    code_lut,
+                    energies,
+                    n_plus,
+                    track,
+                    win_buf,
+                    spin_buf,
+                    same_buf,
+                    old_code_buf,
+                    new_code_buf,
+                    op_rows,
+                    op_indices,
+                    op_toggled,
+                    op_members,
+                    n_sites,
+                )
+                if n_ops > 0:
+                    ops_kernel(
+                        op_rows,
+                        op_indices,
+                        op_toggled,
+                        op_members,
+                        n_ops,
+                        members,
+                        positions,
+                        counts,
+                        n_sites,
+                        n_replicas,
+                    )
+                for k in range(n_out):
+                    flip_counts[out_reps[k]] += 1
+            rounds += 1
+            in_round = 0
+        resume[0] = 0
+        resume[5] = rounds
+        return STATUS_DONE
+
+    return run_rounds_kernel
+
+
+#: The round loop over the interpreted kernels (the ``python`` backend).
+run_rounds_kernel = make_run_rounds_kernel(
+    step_round_kernel, apply_flips_kernel, coded_ops_kernel
+)

@@ -1,9 +1,10 @@
 """JIT-compiled flip-loop backend (``numba``).
 
-Hands the three single-source kernels from
-:mod:`repro.core.backends.kernels` to ``numba.njit`` unchanged — no
-numba-specific code paths exist, so the interpreted ``python`` backend and
-this one execute literally the same function bodies.  The import is guarded:
+Hands the single-source kernels from :mod:`repro.core.backends.kernels` to
+``numba.njit`` unchanged — the step, window and coded-op kernels, and the
+round loop bound to those compiled three — so no numba-specific code paths
+exist and the interpreted ``python`` backend and this one execute literally
+the same function bodies.  The import is guarded:
 on hosts without numba the backend reports unavailable and the registry
 falls back (with a single warning when it was explicitly requested).
 
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 from repro.core.backends import kernels
 from repro.core.backends.kernel_backend import KernelLoopBackend
 
-_COMPILED: Optional[tuple[Callable, Callable, Callable]] = None
+_COMPILED: Optional[tuple[Callable, Callable, Callable, Callable]] = None
 
 
 def numba_available() -> bool:
@@ -32,8 +33,8 @@ def numba_available() -> bool:
         return False
 
 
-def compiled_kernels() -> tuple[Callable, Callable, Callable]:
-    """Return the njit-wrapped ``(step, flips, coded_ops)`` kernel triple.
+def compiled_kernels() -> tuple[Callable, Callable, Callable, Callable]:
+    """Return the njit-wrapped ``(step, flips, coded_ops, run_rounds)``.
 
     Raises ``ImportError`` when numba is missing; the registry's
     availability probe keeps that from escaping normal selection paths.
@@ -46,11 +47,13 @@ def compiled_kernels() -> tuple[Callable, Callable, Callable]:
             jit = numba.njit(cache=True)
         except TypeError:  # pragma: no cover - very old numba
             jit = numba.njit
-        _COMPILED = (
-            jit(kernels.step_round_kernel),
-            jit(kernels.apply_flips_kernel),
-            jit(kernels.coded_ops_kernel),
-        )
+        step = jit(kernels.step_round_kernel)
+        flips = jit(kernels.apply_flips_kernel)
+        ops = jit(kernels.coded_ops_kernel)
+        # The round loop is a closure over the three dispatchers above, so
+        # it skips the on-disk cache and compiles once per process.
+        run = numba.njit(kernels.make_run_rounds_kernel(step, flips, ops))
+        _COMPILED = (step, flips, ops, run)
     return _COMPILED
 
 
@@ -59,5 +62,5 @@ class NumbaBackend(KernelLoopBackend):
 
     name = "numba"
 
-    def _get_kernels(self) -> tuple[Callable, Callable, Callable]:
+    def _get_kernels(self) -> tuple[Callable, Callable, Callable, Callable]:
         return compiled_kernels()

@@ -1,12 +1,16 @@
 """The always-available pure-NumPy flip-loop backend.
 
-This is the reference implementation every other backend is pinned against,
-extracted verbatim from the pre-seam ``EnsembleDynamics._step_all_scalar`` /
-``_apply_flips`` hot path: a scalar round loop over memoryviews of the
-batched state (list-speed element access; the per-call dispatch of ~15 tiny
-array ops would dominate small rounds), the fused gather-classify-scatter
-window kernel as array code, and the sequential coded-op loop on
-:class:`~repro.utils.indexset.BatchedIndexSet`.
+This is the reference implementation every other backend is pinned against.
+A round runs in one of two regimes over the same buffers: a scalar loop over
+memoryviews of the batched state for small rounds (list-speed element
+access; the per-call dispatch of ~15 tiny array ops would dominate them),
+and array code along the replica axis for rounds of more than
+:attr:`~repro.rng.BlockedReplicaStreams.SCALAR_PATH_MAX` replicas.  Both
+consume the blocked RNG buffers identically, so they are interchangeable
+mid-run.  The fused gather-classify-scatter window kernel is array code and
+the coded-op loop is the sequential one on
+:class:`~repro.utils.indexset.BatchedIndexSet`.  The round loop is the host
+loop :class:`~repro.core.backends.base.FlipLoopBackend` provides.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.backends.base import FlipLoopBackend
+from repro.rng import BlockedReplicaStreams
 from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
@@ -26,16 +31,18 @@ class NumpyBackend(FlipLoopBackend):
     name = "numpy"
 
     def step_round(self, candidates: np.ndarray) -> np.ndarray:
-        """One round's control plane as a single scalar loop (small batches).
+        """One round, in the regime that is cheaper for its size.
 
-        Termination/sampler filtering, the blocked RNG draws (ziggurat fast
-        path and Lemire candidate, inlined from
+        Small rounds run the control plane as one scalar loop: termination/
+        sampler filtering, the blocked RNG draws (ziggurat fast path and
+        Lemire candidate, inlined from
         :meth:`repro.rng.BlockedReplicaStreams.draw_step`), the clock updates
-        and the candidate gather all run in one Python loop over memoryviews
-        of the batched state.  Draw-for-draw identical to the engine's
-        vectorized path — both consume the same blocked buffers the same
-        way — so the regimes are interchangeable mid-run.
+        and the candidate gather, over memoryviews of the batched state.
+        Rounds of more than ``SCALAR_PATH_MAX`` replicas go to
+        :meth:`_step_round_arrays`.  Draw-for-draw identical either way.
         """
+        if candidates.size > BlockedReplicaStreams.SCALAR_PATH_MAX:
+            return self._step_round_arrays(candidates)
         engine = self.engine
         only_if_happy = engine.flip_rule is FlipRule.ONLY_IF_HAPPY
         continuous = engine.scheduler is SchedulerKind.CONTINUOUS
@@ -119,6 +126,63 @@ class NumpyBackend(FlipLoopBackend):
         self.apply_flips(rep_arr, np.asarray(flats, dtype=np.int64))
         engine._n_flips[rep_arr] += 1
         return rep_arr
+
+    def _step_round_arrays(self, candidates: np.ndarray) -> np.ndarray:
+        """One round as array code along the replica axis (large rounds).
+
+        Termination/sampler filtering, clock advances, the blocked RNG draws,
+        candidate gathers and the fused window refresh each operate on the
+        surviving replicas at once; per-replica draw order is the scalar
+        loop's.
+        """
+        engine = self.engine
+        n_rep = engine.n_replicas
+        only_if_happy = engine.flip_rule is FlipRule.ONLY_IF_HAPPY
+        continuous = engine.scheduler is SchedulerKind.CONTINUOUS
+        counts = engine._sets.counts
+        if only_if_happy:
+            term_sizes = counts[candidates + n_rep]
+        else:
+            term_sizes = counts[candidates]
+        alive = term_sizes > 0
+        if only_if_happy and continuous:
+            sampler_offset = n_rep
+            sampler_sizes = term_sizes
+        else:
+            sampler_offset = 0
+            sampler_sizes = counts[candidates]
+            alive &= sampler_sizes > 0
+        if alive.all():
+            reps = candidates
+            sizes = sampler_sizes
+        else:
+            reps = candidates[alive]
+            if reps.size == 0:
+                return np.empty(0, dtype=np.int64)
+            sizes = sampler_sizes[alive]
+        # Same draw order as GlauberDynamics.step: waiting time first
+        # (continuous scheduler only), then the candidate index.
+        waits, draws = engine._streams.draw_step(reps, sizes, continuous)
+        if continuous:
+            engine._times[reps] += (1.0 / sizes) * waits
+        else:
+            engine._times[reps] += 1.0
+        engine._n_steps[reps] += 1
+        flats = engine._sets.sample_rows(reps + sampler_offset, draws)
+        bases = reps * engine._n_sites
+        if only_if_happy and not continuous:
+            # Discrete scheduler samples unhappy agents, which may refuse to
+            # flip.  (The continuous sampler only contains flippable agents,
+            # so the gather would be all-True there.)
+            do_flip = (engine._code_flat[bases + flats] & 2) != 0
+            reps = reps[do_flip]
+            flats = flats[do_flip]
+            bases = bases[do_flip]
+            if reps.size == 0:
+                return reps
+        self.apply_flips(reps, flats, bases)
+        engine._n_flips[reps] += 1
+        return reps
 
     def apply_flips(
         self,

@@ -52,11 +52,13 @@ termination off :attr:`EnsembleRunResult.terminated`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.backends.base import FlipLoopBackend
 from repro.core.backends.registry import create_backend
 from repro.core.config import ModelConfig
 from repro.core.dynamics import Trajectory
@@ -663,8 +665,9 @@ class EnsembleDynamics:
     def energies(self) -> np.ndarray:
         """``(R,)`` Lyapunov energies (total same-type neighbourhood count).
 
-        Maintained incrementally by :meth:`_apply_flips` — an O(1)-per-flip
-        window-free delta mirroring :meth:`repro.core.state.ModelState.apply_flip`
+        Maintained incrementally by the backends' window update — an
+        O(1)-per-flip window-free delta mirroring
+        :meth:`repro.core.state.ModelState.apply_flip`
         — so reading it (e.g. from trajectory recording) is O(R); the tests
         cross-check it against the full recompute in :meth:`_energies_full`.
         Runs that never observe the counters defer the deltas and flush the
@@ -711,89 +714,24 @@ class EnsembleDynamics:
     def step_all(self, active: Optional[Sequence[int]] = None) -> np.ndarray:
         """Advance every active replica by one scheduler step.
 
-        ``active`` restricts the round to the given replica indices (the
-        ``run`` loop uses it to exclude replicas that hit their budgets);
+        ``active`` restricts the round to the given replica indices;
         terminated replicas are always skipped.  Returns the array of replica
         indices that actually flipped this round.
 
-        Large rounds run as array code: termination/sampler filtering, clock
-        advances, blocked RNG draws, candidate gathers and the fused window
-        refresh all operate on the surviving replica axis at once.  Small
-        rounds (where per-call numpy dispatch would dominate) go through the
-        attached :class:`~repro.core.backends.base.FlipLoopBackend`'s scalar
-        round instead; both regimes consume the blocked RNG buffers
-        identically, so they are interchangeable mid-run.  The per-replica
-        draw order (waiting time first under the continuous scheduler, then
-        the candidate index) matches
+        The round runs in the attached
+        :class:`~repro.core.backends.base.FlipLoopBackend`'s
+        :meth:`~repro.core.backends.base.FlipLoopBackend.step_round`: the
+        scalar control plane (filtering, blocked RNG draws, clock updates,
+        candidate gathers), then the fused window update for every replica
+        that flips.  The per-replica draw order (waiting time first under
+        the continuous scheduler, then the candidate index) matches
         :meth:`repro.core.dynamics.GlauberDynamics.step` stream-exactly.
         """
-        n_rep = self.n_replicas
         if active is None:
             candidates = self._replica_ids
         else:
             candidates = np.asarray(active, dtype=np.int64)
-        if candidates.size <= BlockedReplicaStreams.SCALAR_PATH_MAX:
-            return self._backend.step_round(candidates)
-        only_if_happy = self.flip_rule is FlipRule.ONLY_IF_HAPPY
-        continuous = self.scheduler is SchedulerKind.CONTINUOUS
-        counts = self._sets.counts
-        if only_if_happy:
-            term_sizes = counts[candidates + n_rep]
-        else:
-            term_sizes = counts[candidates]
-        alive = term_sizes > 0
-        if only_if_happy and continuous:
-            sampler_offset = n_rep
-            sampler_sizes = term_sizes
-        else:
-            sampler_offset = 0
-            sampler_sizes = counts[candidates]
-            alive &= sampler_sizes > 0
-        if alive.all():
-            reps = candidates
-            sizes = sampler_sizes
-        else:
-            reps = candidates[alive]
-            if reps.size == 0:
-                return np.empty(0, dtype=np.int64)
-            sizes = sampler_sizes[alive]
-        # Same draw order as GlauberDynamics.step: waiting time first
-        # (continuous scheduler only), then the candidate index.
-        waits, draws = self._streams.draw_step(reps, sizes, continuous)
-        if continuous:
-            self._times[reps] += (1.0 / sizes) * waits
-        else:
-            self._times[reps] += 1.0
-        self._n_steps[reps] += 1
-        flats = self._sets.sample_rows(reps + sampler_offset, draws)
-        bases = reps * self._n_sites
-        if only_if_happy and not continuous:
-            # Discrete scheduler samples unhappy agents, which may refuse to
-            # flip.  (The continuous sampler only contains flippable agents,
-            # so the gather would be all-True there.)
-            do_flip = (self._code_flat[bases + flats] & 2) != 0
-            reps = reps[do_flip]
-            flats = flats[do_flip]
-            bases = bases[do_flip]
-            if reps.size == 0:
-                return reps
-        self._apply_flips(reps, flats, bases)
-        self._n_flips[reps] += 1
-        return reps
-
-    def _apply_flips(
-        self, reps: np.ndarray, flats: np.ndarray, bases: Optional[np.ndarray] = None
-    ) -> None:
-        """Flip one site per listed replica via the attached backend.
-
-        The fused gather-classify-scatter window kernel lives behind the
-        :class:`~repro.core.backends.base.FlipLoopBackend` seam (see
-        :meth:`FlipLoopBackend.apply_flips
-        <repro.core.backends.base.FlipLoopBackend.apply_flips>` for the
-        semantics); this shim keeps the vectorized ``step_all`` path and the
-        subclass override point unchanged.
-        """
-        self._backend.apply_flips(reps, flats, bases)
+        return self._backend.step_round(candidates)
 
     def run(
         self,
@@ -808,8 +746,11 @@ class EnsembleDynamics:
         Budgets apply per replica, with the scalar engine's semantics: a
         replica stops stepping once its flip/step count within this call
         reaches the budget or its clock passes ``max_time``; the others keep
-        going.  The active set is recomputed per round as a handful of array
-        comparisons.
+        going.  The round loop — the per-round active set, the rounds
+        themselves — runs inside the attached backend's
+        :meth:`~repro.core.backends.base.FlipLoopBackend.run_rounds`, which
+        hands control back only when the run ends or a trajectory sample is
+        due.
 
         ``record_trajectory`` samples every replica's incremental counters
         into an :class:`EnsembleTrajectory` every ``record_every`` lockstep
@@ -825,27 +766,25 @@ class EnsembleDynamics:
             trajectory.record(self)
         start_flips = self._n_flips.copy()
         start_steps = np.array(self._n_steps, dtype=np.int64)
-        rounds = 0
+        budgets = (
+            _count_budget(max_flips),
+            _count_budget(max_steps),
+            np.inf if max_time is None else float(max_time),
+        )
         # Runs that never read the energy/magnetization counters defer their
         # per-flip updates; the first post-run read flushes exact values.
         previous_tracking = self._track_counters
         self._track_counters = record_trajectory and previous_tracking
         try:
-            while True:
-                active_mask = self._termination_counts() != 0
-                if max_flips is not None:
-                    active_mask &= (self._n_flips - start_flips) < max_flips
-                if max_steps is not None:
-                    steps = np.asarray(self._n_steps, dtype=np.int64)
-                    active_mask &= (steps - start_steps) < max_steps
-                if max_time is not None:
-                    active_mask &= np.asarray(self._times) < max_time
-                active = np.flatnonzero(active_mask)
-                if active.size == 0:
-                    break
-                self.step_all(active)
-                rounds += 1
-                if trajectory is not None and rounds % record_every == 0:
+            if trajectory is None:
+                self._backend.run_rounds(start_flips, start_steps, *budgets, 0)
+            else:
+                while (
+                    self._backend.run_rounds(
+                        start_flips, start_steps, *budgets, record_every
+                    )
+                    == record_every
+                ):
                     trajectory.record(self)
         finally:
             self._track_counters = previous_tracking
@@ -862,6 +801,36 @@ class EnsembleDynamics:
             final_spins=self._spins.copy(),
             trajectory=trajectory,
         )
+
+
+#: A count budget no run reaches: what ``run`` passes for "no budget".
+_NO_COUNT_BUDGET = np.iinfo(np.int64).max
+
+
+def _count_budget(value: Optional[int]) -> int:
+    """A flip/step budget as the int64 the backends compare counts against.
+
+    Counts are integers, so ``count < value`` and ``count < ceil(value)``
+    agree for any real ``value``; the ceiling keeps fractional budgets
+    exact and the clamp keeps huge (or infinite) ones inside int64.
+    """
+    if value is None or value >= _NO_COUNT_BUDGET:
+        return _NO_COUNT_BUDGET
+    return math.ceil(value)
+
+
+class _ReferenceRoundLoop(FlipLoopBackend):
+    """Adapter running the reference engine's own rounds in the host loop.
+
+    The reference engine shares ``run`` with the fused engine; this gives
+    it the base class's host round loop over its retained pre-fusion
+    ``step_all``, with no backend code on its hot path.
+    """
+
+    name = "reference"
+
+    def step_round(self, candidates: np.ndarray) -> np.ndarray:
+        return self.engine.step_all(candidates)
 
 
 class ReferenceEnsembleDynamics(EnsembleDynamics):
@@ -883,9 +852,11 @@ class ReferenceEnsembleDynamics(EnsembleDynamics):
 
         The retained pre-fusion structures (list-backed samplers, per-flip
         ``Generator`` calls) are not backend-shaped, and the point of this
-        engine is to *not* share code with what it verifies.
+        engine is to *not* share code with what it verifies; only the host
+        round loop is shared, through :class:`_ReferenceRoundLoop`.
         """
-        self._backend = None
+        self._backend = _ReferenceRoundLoop()
+        self._backend.attach(self)
         self.backend_name = "reference"
 
     def _build_runtime(self, rng_block_words: int) -> None:

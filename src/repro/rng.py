@@ -331,7 +331,8 @@ class BlockedReplicaStreams:
 
     #: Active-replica count below which the scalar draw loop beats the
     #: vectorized path (array-op dispatch costs ~1us per op; the scalar loop
-    #: costs ~1us per replica total).
+    #: costs ~1us per replica total).  The numpy flip-loop backend switches
+    #: its whole round between its scalar and array regimes at the same size.
     SCALAR_PATH_MAX = 32
 
     def __init__(
@@ -530,13 +531,18 @@ class BlockedReplicaStreams:
         Small batches run a scalar loop over the block buffers; large ones
         take the vectorized path.  Both are bitwise identical.
 
-        NOTE: the scalar loop below is deliberately re-inlined (without the
-        filtering/clock work) by ``EnsembleDynamics._step_all_scalar`` —
-        three sites implement the word-consumption protocol (here scalar,
-        here vectorized via the split methods, and the engine's inline
-        copy).  Any change to the protocol must touch all three; the
-        boundary tests in ``test_rng.py`` / ``test_core_ensemble.py`` pin
-        each copy to live ``Generator`` draws, so a missed site fails fast.
+        NOTE: the word-consumption protocol is implemented at five sites:
+        the scalar loop below, the vectorized split methods, the inline copy
+        (with the filtering/clock work) in
+        :meth:`repro.core.backends.numpy_backend.NumpyBackend.step_round`,
+        ``step_round_kernel`` in :mod:`repro.core.backends.kernels` (run
+        interpreted and by numba), and its C mirror in
+        :mod:`repro.core.backends.cffi_backend`.  Any change to the protocol
+        must touch all five; the boundary tests in ``test_rng.py`` and
+        ``test_core_ensemble.py`` and the cross-backend suites
+        (``test_backends.py``, ``test_run_rounds_matrix.py``) pin every copy
+        to live ``Generator`` draws or to the numpy backend, so a missed
+        site fails fast.
         """
         if replicas.size > self.SCALAR_PATH_MAX:
             values = (

@@ -22,6 +22,7 @@ never fail.
 """
 
 import json
+import os
 import warnings
 
 import numpy as np
@@ -271,6 +272,55 @@ class TestNumbaBackend:
     def test_numba_listed_and_preferred(self):
         assert "numba" in BACKENDS
         assert default_backend_name() == "numba"
+
+
+class TestCffiCacheTrust:
+    """A cache directory others could write into disables the C backend."""
+
+    @pytest.fixture
+    def fresh_probe(self, monkeypatch, tmp_path):
+        """Point the cache at ``tmp_path`` and forget any earlier probe."""
+        import tempfile
+
+        from repro.core.backends import cffi_backend
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(cffi_backend, "_CACHE", {})
+        monkeypatch.setattr(cffi_backend, "_UNAVAILABLE_REASON", None)
+        monkeypatch.setattr(registry_module, "_warned_fallbacks", set())
+        return tmp_path / f"repro-cffi-{os.getuid()}"
+
+    def _assert_refused(self, problem):
+        from repro.core.backends import cffi_backend
+
+        with pytest.warns(RuntimeWarning, match="untrusted compiled-library"):
+            assert not cffi_backend.cffi_available()
+        reason = cffi_backend.cffi_unavailable_reason()
+        assert "untrusted compiled-library cache" in reason
+        assert problem in reason
+        assert "cffi" not in available_backends()
+        assert default_backend_name() != "cffi"
+        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
+            assert resolve_backend_name("cffi") == "numpy"
+
+    def test_group_writable_directory_is_refused(self, fresh_probe):
+        fresh_probe.mkdir()
+        fresh_probe.chmod(0o770)
+        self._assert_refused("group/other-writable")
+
+    def test_symlinked_directory_is_refused(self, fresh_probe, tmp_path):
+        target = tmp_path / "elsewhere"
+        target.mkdir(mode=0o700)
+        fresh_probe.symlink_to(target, target_is_directory=True)
+        self._assert_refused("is a symlink")
+
+    def test_fresh_directory_is_private_and_accepted(self, fresh_probe):
+        from repro.core.backends import cffi_backend
+
+        path = cffi_backend._library_path()
+        assert os.path.dirname(path) == str(fresh_probe)
+        mode = fresh_probe.lstat().st_mode
+        assert mode & 0o077 == 0
 
 
 class TestKernelConstants:

@@ -451,19 +451,21 @@ class TestDeferredCounters:
 
 
 class TestDispatchRegimes:
-    """Both step_all regimes and both window-LUT layouts stay scalar-exact."""
+    """Both numpy round regimes and both window-LUT layouts stay scalar-exact."""
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_vectorized_control_plane_matches_scalar(self, monkeypatch, scheduler):
-        """Force the >SCALAR_PATH_MAX branch (vector filtering, draws,
-        clocks, sampling) and pin it to scalar runs bitwise."""
+        """Force the numpy backend's array round (vector filtering, draws,
+        clocks, sampling) at every size and pin it to scalar runs bitwise."""
         from repro.rng import BlockedReplicaStreams
 
         monkeypatch.setattr(BlockedReplicaStreams, "SCALAR_PATH_MAX", -1)
         config = ModelConfig.square(
             side=14, horizon=1, tau=0.45, scheduler=scheduler
         )
-        ensemble = EnsembleDynamics(config, n_replicas=3, seed=19)
+        ensemble = EnsembleDynamics(
+            config, n_replicas=3, seed=19, backend="numpy"
+        )
         result = ensemble.run(max_flips=60)
         for replica, seed in enumerate(ensemble.replica_seeds):
             reference = scalar_reference(config, seed, max_flips=60)
@@ -480,7 +482,9 @@ class TestDispatchRegimes:
         config = ModelConfig.square(
             side=14, horizon=1, tau=0.6, scheduler=SchedulerKind.DISCRETE
         )
-        ensemble = EnsembleDynamics(config, n_replicas=2, seed=3)
+        ensemble = EnsembleDynamics(
+            config, n_replicas=2, seed=3, backend="numpy"
+        )
         result = ensemble.run(max_steps=80)
         for replica, seed in enumerate(ensemble.replica_seeds):
             simulation = Simulation(config, seed=seed)
