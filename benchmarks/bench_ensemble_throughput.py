@@ -4,8 +4,8 @@ Three headline numbers back the execution-engine claims:
 
 * **flips/sec, fused vs pre-fusion ensemble** — the fused flip loop
   (blocked RNG, batched index sets, fused window kernel) must deliver at
-  least 2x the flip throughput of the retained
-  :class:`~repro.core.ensemble.ReferenceEnsembleDynamics` at ``R = 8`` on a
+  least 2x the flip throughput of the retained pre-fusion
+  ``ReferenceEnsembleDynamics`` (``tests/oracles.py``) at ``R = 8`` on a
   128x128 torus.  Both engines are bitwise equivalent to the same scalar
   runs, so the comparison is work-for-work by construction.
 * **flips/sec, ensemble vs scalar** — the fused engine against 8 sequential
@@ -27,8 +27,9 @@ from typing import Optional
 
 import pytest
 
+from oracles import ReferenceEnsembleDynamics
 from repro.core.config import ModelConfig
-from repro.core.ensemble import EnsembleDynamics, ReferenceEnsembleDynamics
+from repro.core.ensemble import EnsembleDynamics
 from repro.core.simulation import Simulation
 from repro.experiments.parallel import default_worker_count, run_sweep_parallel
 from repro.experiments.results import ResultTable

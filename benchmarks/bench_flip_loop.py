@@ -5,7 +5,7 @@ engine construction, this file times the flip loop alone.
 ``bench_flip_loop_rounds_per_second`` times single rounds — repeated
 ``step_all`` calls — for the fused
 :class:`~repro.core.ensemble.EnsembleDynamics` against the retained
-pre-fusion :class:`~repro.core.ensemble.ReferenceEnsembleDynamics`, across
+pre-fusion ``ReferenceEnsembleDynamics`` (``tests/oracles.py``), across
 several replica counts: regressions in the blocked-RNG draws, the batched
 index-set updates or the fused window kernel show up there first.
 ``bench_flip_loop_backends`` times ``EnsembleDynamics.run`` under a flip
@@ -22,9 +22,10 @@ from __future__ import annotations
 import statistics
 import time
 
+from oracles import ReferenceEnsembleDynamics
 from repro.core.backends.registry import available_backends
 from repro.core.config import ModelConfig
-from repro.core.ensemble import EnsembleDynamics, ReferenceEnsembleDynamics
+from repro.core.ensemble import EnsembleDynamics
 from repro.experiments.results import ResultTable
 from repro.experiments.workloads import bench_quick_mode as quick_mode
 from repro.rng import ziggurat_exponential_tables

@@ -6,8 +6,9 @@ pipeline:
 * **speedup vs reference** — on a 256^2 torus scanned up to ``limit = 32``
   the top-down active-set sweep of
   :func:`repro.analysis.regions.almost_monochromatic_radius_map` must be at
-  least 4x faster than ``_almost_monochromatic_radius_map_reference`` (the
-  per-radius ``minority_ratio_map`` loop it replaced) on a segregated
+  least 4x faster than ``_almost_monochromatic_radius_map_reference`` in
+  ``tests/oracles.py`` (the per-radius ``minority_ratio_map`` loop it
+  replaced) on a segregated
   configuration — wide monochromatic domains with sparse defects, the shape
   every terminated run produces and exactly where Theorem 2's ``E[M']``
   estimate spends its time.  Mixed (blocky) and fully random grids are
@@ -30,8 +31,8 @@ import time
 
 import numpy as np
 
+from oracles import _almost_monochromatic_radius_map_reference
 from repro.analysis.regions import (
-    _almost_monochromatic_radius_map_reference,
     almost_monochromatic_radius_map,
     monochromatic_radius_map,
     region_scan_table,

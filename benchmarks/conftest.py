@@ -9,6 +9,7 @@ comparison is visible in the pytest output, and (b) persist them as CSV under
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,10 @@ from _record import record_benchmark
 from repro.experiments.results import ResultTable
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The reference implementations the speedup benches time against live with
+# the equivalence tests in ``tests/oracles.py``, outside the package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 def emit_table(name: str, table: ResultTable, benchmark=None) -> Path:

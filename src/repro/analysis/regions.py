@@ -124,9 +124,9 @@ def monochromatic_radius_map(
     doubling probes ``1, 2, 4, ...`` bracket each surviving site's radius,
     and a per-site parallel bisection pins it exactly.  Total work is
     O(grid * log limit) gathers plus the O((grid side + 2 limit)^2) table
-    build, versus O(grid * limit) for the scan.  Bitwise identical to
-    :func:`_monochromatic_radius_map_reference` (the retained linear scan),
-    which the equivalence tests assert.
+    build, versus O(grid * limit) for the scan.  Bitwise identical to the
+    linear per-radius scan (the reference in ``tests/oracles.py``), which
+    the equivalence tests assert.
 
     ``table`` optionally supplies a precomputed :func:`region_scan_table` so
     several scans of the same configuration share one build.
@@ -185,31 +185,6 @@ def monochromatic_radius_map(
         hi[unresolved[~mono]] = mid[~mono]
         unresolved = unresolved[hi[unresolved] - lo[unresolved] > 1]
     radii[...] = lo.reshape(n_rows, n_cols)
-    return radii
-
-
-def _monochromatic_radius_map_reference(
-    spins: np.ndarray, max_radius: Optional[int] = None
-) -> np.ndarray:
-    """Linear per-radius scan — the reference :func:`monochromatic_radius_map`.
-
-    Retained for the equivalence tests (and as the easiest statement of the
-    semantics): one ``window_sums`` pass per radius over the whole grid,
-    stopping once no site is alive.
-    """
-    spins = require_spin_array(spins)
-    limit = _max_usable_radius(spins.shape, max_radius)
-    radii = np.zeros(spins.shape, dtype=np.int64)
-    plus_indicator = (spins == 1).astype(np.int64)
-    alive = np.ones(spins.shape, dtype=bool)
-    for radius in range(1, limit + 1):
-        counts = window_sums(plus_indicator, radius)
-        total = neighborhood_size(radius)
-        mono = (counts == total) | (counts == 0)
-        alive &= mono
-        if not alive.any():
-            break
-        radii[alive] = radius
     return radii
 
 
@@ -290,9 +265,9 @@ def almost_monochromatic_radius_map(
     ``minority_ratio_map`` grid pass (table build included) the reference
     performs per level, and sites in segregated patches — where all the
     Theorem 2 signal lives — leave the active set near ``limit``, so the
-    sweep touches a rapidly shrinking population.  Bitwise identical to
-    :func:`_almost_monochromatic_radius_map_reference` (the retained linear
-    scan), which the equivalence tests assert.
+    sweep touches a rapidly shrinking population.  Bitwise identical to the
+    linear per-radius scan (the reference in ``tests/oracles.py``), which
+    the equivalence tests assert.
 
     ``table`` optionally supplies a precomputed :func:`region_scan_table` so
     several scans of the same configuration share one build.
@@ -342,33 +317,6 @@ def almost_monochromatic_radius_map(
         if not active.size:
             break
         base = base[keep]
-    return radii
-
-
-def _almost_monochromatic_radius_map_reference(
-    spins: np.ndarray,
-    ratio_threshold: float,
-    max_radius: Optional[int] = None,
-) -> np.ndarray:
-    """Linear per-radius scan — the reference for
-    :func:`almost_monochromatic_radius_map`.
-
-    One full :func:`minority_ratio_map` grid pass per radius, recording the
-    largest qualifying radius per site.  Retained as the equivalence oracle
-    for the property tests and the region-scan benchmark; production code
-    should always call :func:`almost_monochromatic_radius_map`.
-    """
-    if not 0.0 <= ratio_threshold <= 1.0:
-        raise AnalysisError(
-            f"ratio_threshold must lie in [0, 1], got {ratio_threshold}"
-        )
-    spins = require_spin_array(spins)
-    limit = _max_usable_radius(spins.shape, max_radius)
-    radii = np.zeros(spins.shape, dtype=np.int64)
-    for radius in range(1, limit + 1):
-        ratios = minority_ratio_map(spins, radius)
-        qualifies = ratios <= ratio_threshold
-        radii[qualifies] = radius
     return radii
 
 

@@ -12,11 +12,13 @@ shared, so backends can only differ in *how* rounds execute, never in what
 a round means.
 
 The contract is bitwise: every backend must consume the pre-drawn
-:class:`~repro.rng.BlockedReplicaStreams` words in exactly the reference
-order and produce bit-identical spins, clocks, counters and sampler layouts
-— the same guarantee `ReferenceEnsembleDynamics` pins for the fused engine
-itself.  The cross-backend suite in ``tests/test_backends.py`` enforces it
-for every backend the host can run.
+:class:`~repro.rng.BlockedReplicaStreams` words in exactly the order of
+:meth:`~repro.rng.BlockedReplicaStreams.draw` and produce bit-identical
+spins, clocks, counters and sampler layouts — the same guarantee the
+per-replica scalar :class:`~repro.core.dynamics.GlauberDynamics` runs pin
+for the engine itself.  The cross-backend suites (``tests/test_backends.py``,
+``tests/test_run_rounds_matrix.py``) enforce it for every backend the host
+can run.
 """
 
 from __future__ import annotations

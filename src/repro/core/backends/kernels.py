@@ -18,9 +18,9 @@ these functions statement for statement.
 Bitwise-exactness rules the kernels obey:
 
 * RNG words are consumed in exactly the order of
-  :meth:`repro.rng.BlockedReplicaStreams.draw_step`'s scalar loop — one of
-  the five implementations of that word-consumption protocol listed in the
-  NOTE there; the cross-backend boundary tests pin this copy too.
+  :meth:`repro.rng.BlockedReplicaStreams.draw` — one of the three
+  implementations of that word-consumption protocol listed in the NOTE
+  there; the cross-backend boundary tests pin this copy too.
 * The rare slow paths (block refill, ziggurat slow path) are *not*
   reimplemented: the step kernel — and the round loop around it,
   :func:`make_run_rounds_kernel` — returns a status code and the Python

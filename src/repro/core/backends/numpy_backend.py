@@ -1,26 +1,24 @@
 """The always-available pure-NumPy flip-loop backend.
 
 This is the reference implementation every other backend is pinned against.
-A round runs in one of two regimes over the same buffers: a scalar loop over
-memoryviews of the batched state for small rounds (list-speed element
-access; the per-call dispatch of ~15 tiny array ops would dominate them),
-and array code along the replica axis for rounds of more than
-:attr:`~repro.rng.BlockedReplicaStreams.SCALAR_PATH_MAX` replicas.  Both
-consume the blocked RNG buffers identically, so they are interchangeable
-mid-run.  The fused gather-classify-scatter window kernel is array code and
-the coded-op loop is the sequential one on
-:class:`~repro.utils.indexset.BatchedIndexSet`.  The round loop is the host
-loop :class:`~repro.core.backends.base.FlipLoopBackend` provides.
+A round's control plane is one scalar loop over memoryviews of the batched
+state (list-speed element access; the per-call dispatch of a dozen tiny
+array ops would dominate rounds of a few replicas), drawing each replica's
+waiting time and candidate through
+:meth:`repro.rng.BlockedReplicaStreams.draw`.  The fused
+gather-classify-scatter window kernel is array code and the coded-op loop is
+the sequential one on :class:`~repro.utils.indexset.BatchedIndexSet`.  The
+round loop is the host loop :class:`~repro.core.backends.base.FlipLoopBackend`
+provides.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.backends.base import FlipLoopBackend
-from repro.rng import BlockedReplicaStreams
 from repro.types import FlipRule, SchedulerKind
 from repro.utils.indexset import BatchedIndexSet
 
@@ -31,18 +29,14 @@ class NumpyBackend(FlipLoopBackend):
     name = "numpy"
 
     def step_round(self, candidates: np.ndarray) -> np.ndarray:
-        """One round, in the regime that is cheaper for its size.
+        """One round: a scalar control-plane loop, then the fused flip kernel.
 
-        Small rounds run the control plane as one scalar loop: termination/
-        sampler filtering, the blocked RNG draws (ziggurat fast path and
-        Lemire candidate, inlined from
-        :meth:`repro.rng.BlockedReplicaStreams.draw_step`), the clock updates
-        and the candidate gather, over memoryviews of the batched state.
-        Rounds of more than ``SCALAR_PATH_MAX`` replicas go to
-        :meth:`_step_round_arrays`.  Draw-for-draw identical either way.
+        Per candidate replica: termination/sampler filtering, the blocked RNG
+        draws (:meth:`repro.rng.BlockedReplicaStreams.draw`), the clock
+        updates, the candidate gather and the discrete-scheduler flip gate,
+        over memoryviews of the batched state.  Every replica that flips then
+        goes through :meth:`apply_flips` at once.
         """
-        if candidates.size > BlockedReplicaStreams.SCALAR_PATH_MAX:
-            return self._step_round_arrays(candidates)
         engine = self.engine
         only_if_happy = engine.flip_rule is FlipRule.ONLY_IF_HAPPY
         continuous = engine.scheduler is SchedulerKind.CONTINUOUS
@@ -54,10 +48,7 @@ class NumpyBackend(FlipLoopBackend):
         times_mv = engine._times_mv
         steps_mv = engine._steps_mv
         code_mv = engine._code_mv
-        streams = engine._streams
-        words_mv, pos_mv, has32_mv, buf32_mv = streams.scalar_views()
-        ke_list, we_list = streams.ziggurat_lists()
-        block = streams.block_words
+        draw = engine._streams.draw
         term_offset = n_rep if only_if_happy else 0
         sampler_offset = n_rep if (only_if_happy and continuous) else 0
         reps: list[int] = []
@@ -69,51 +60,15 @@ class NumpyBackend(FlipLoopBackend):
             size = counts_mv[sampler_row]
             if size == 0:
                 continue
-            word_base = replica * block
             # Same draw order as GlauberDynamics.step: waiting time first
             # (continuous scheduler only), then the candidate index.
+            wait, index = draw(replica, size, continuous)
             if continuous:
-                position = pos_mv[replica]
-                if position >= block:
-                    streams._refill_until_ready(replica)
-                    position = pos_mv[replica]
-                word = words_mv[word_base + position]
-                pos_mv[replica] = position + 1
-                significand = word >> 11
-                layer = (word >> 3) & 0xFF
-                if significand < ke_list[layer]:
-                    wait = significand * we_list[layer]
-                else:
-                    wait = streams._replay_exponential(replica)
                 times_mv[replica] += (1.0 / size) * wait
             else:
                 times_mv[replica] += 1.0
             steps_mv[replica] += 1
-            if size > 1:
-                if has32_mv[replica]:
-                    candidate = buf32_mv[replica]
-                    has32_mv[replica] = False
-                else:
-                    position = pos_mv[replica]
-                    if position >= block:
-                        streams._refill_until_ready(replica)
-                        position = pos_mv[replica]
-                    word = words_mv[word_base + position]
-                    pos_mv[replica] = position + 1
-                    candidate = word & 0xFFFFFFFF
-                    buf32_mv[replica] = word >> 32
-                    has32_mv[replica] = True
-                scaled = candidate * size
-                leftover = scaled & 0xFFFFFFFF
-                if leftover < size:
-                    threshold = ((1 << 32) - size) % size
-                    while leftover < threshold:
-                        scaled = streams._next32_scalar(replica) * size
-                        leftover = scaled & 0xFFFFFFFF
-                draw = scaled >> 32
-            else:
-                draw = 0
-            flat = members_mv[sampler_row * n_sites + draw]
+            flat = members_mv[sampler_row * n_sites + index]
             if discrete_gate and not code_mv[replica * n_sites + flat] & 2:
                 # Discrete scheduler samples unhappy agents, which may
                 # refuse to flip.
@@ -127,69 +82,7 @@ class NumpyBackend(FlipLoopBackend):
         engine._n_flips[rep_arr] += 1
         return rep_arr
 
-    def _step_round_arrays(self, candidates: np.ndarray) -> np.ndarray:
-        """One round as array code along the replica axis (large rounds).
-
-        Termination/sampler filtering, clock advances, the blocked RNG draws,
-        candidate gathers and the fused window refresh each operate on the
-        surviving replicas at once; per-replica draw order is the scalar
-        loop's.
-        """
-        engine = self.engine
-        n_rep = engine.n_replicas
-        only_if_happy = engine.flip_rule is FlipRule.ONLY_IF_HAPPY
-        continuous = engine.scheduler is SchedulerKind.CONTINUOUS
-        counts = engine._sets.counts
-        if only_if_happy:
-            term_sizes = counts[candidates + n_rep]
-        else:
-            term_sizes = counts[candidates]
-        alive = term_sizes > 0
-        if only_if_happy and continuous:
-            sampler_offset = n_rep
-            sampler_sizes = term_sizes
-        else:
-            sampler_offset = 0
-            sampler_sizes = counts[candidates]
-            alive &= sampler_sizes > 0
-        if alive.all():
-            reps = candidates
-            sizes = sampler_sizes
-        else:
-            reps = candidates[alive]
-            if reps.size == 0:
-                return np.empty(0, dtype=np.int64)
-            sizes = sampler_sizes[alive]
-        # Same draw order as GlauberDynamics.step: waiting time first
-        # (continuous scheduler only), then the candidate index.
-        waits, draws = engine._streams.draw_step(reps, sizes, continuous)
-        if continuous:
-            engine._times[reps] += (1.0 / sizes) * waits
-        else:
-            engine._times[reps] += 1.0
-        engine._n_steps[reps] += 1
-        flats = engine._sets.sample_rows(reps + sampler_offset, draws)
-        bases = reps * engine._n_sites
-        if only_if_happy and not continuous:
-            # Discrete scheduler samples unhappy agents, which may refuse to
-            # flip.  (The continuous sampler only contains flippable agents,
-            # so the gather would be all-True there.)
-            do_flip = (engine._code_flat[bases + flats] & 2) != 0
-            reps = reps[do_flip]
-            flats = flats[do_flip]
-            bases = bases[do_flip]
-            if reps.size == 0:
-                return reps
-        self.apply_flips(reps, flats, bases)
-        engine._n_flips[reps] += 1
-        return reps
-
-    def apply_flips(
-        self,
-        reps: np.ndarray,
-        flats: np.ndarray,
-        bases: Optional[np.ndarray] = None,
-    ) -> None:
+    def apply_flips(self, reps: np.ndarray, flats: np.ndarray) -> None:
         """Flip one site per listed replica — the fused window kernel.
 
         One gather–classify–scatter pass over all flipping replicas: flat
@@ -206,8 +99,7 @@ class NumpyBackend(FlipLoopBackend):
         config = engine.config
         total = config.neighborhood_agents
 
-        if bases is None:
-            bases = reps * engine._n_sites
+        bases = reps * engine._n_sites
         centers = bases + flats
         spins_flat = engine._spins_flat
         new_values = -spins_flat[centers]

@@ -16,9 +16,9 @@ and every cluster-reporting benchmark — and is fully batched:
   components with zero Python-per-edge/per-site work: horizontal runs are
   collapsed with a running max, run-level edges go through one
   ``union_many`` call and labels come from one ``find_many`` pass.  Output
-  is bitwise identical to the scalar reference implementation (kept as
-  ``_label_clusters_reference`` and property-tested against it), at >= 10x
-  its speed on 512x512 masks (``benchmarks/bench_cluster_labeling.py``).
+  is bitwise identical to the scalar reference implementation (kept in
+  ``tests/oracles.py`` and property-tested against it), at >= 10x its speed
+  on 512x512 masks (``benchmarks/bench_cluster_labeling.py``).
 """
 
 from repro.percolation.chemical import (

@@ -34,7 +34,8 @@ def label_clusters(mask: np.ndarray, periodic: bool = False) -> np.ndarray:
     and open sites are resolved with one
     :meth:`~repro.percolation.union_find.UnionFind.find_many` call, so the
     labelling cost is a handful of array passes regardless of the mask.  The
-    label arrays are bitwise identical to :func:`_label_clusters_reference`.
+    label arrays are bitwise identical to the scalar union/find loop it
+    replaced (the reference in ``tests/oracles.py``).
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
@@ -81,51 +82,6 @@ def label_clusters(mask: np.ndarray, periodic: bool = False) -> np.ndarray:
     is_root[roots] = True
     appearance_rank = np.cumsum(is_root) - 1
     labels.ravel()[open_indices] = appearance_rank[roots]
-    return labels
-
-
-def _label_clusters_reference(mask: np.ndarray, periodic: bool = False) -> np.ndarray:
-    """Scalar reference implementation of :func:`label_clusters`.
-
-    One Python-level union per open edge and one find per open site.  Kept as
-    the equivalence oracle for the property tests and the labelling benchmark;
-    production code should always call :func:`label_clusters`.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise PercolationError(f"mask must be 2-D, got shape {mask.shape}")
-    n_rows, n_cols = mask.shape
-    uf = UnionFind(mask.size)
-    flat = mask.ravel()
-
-    def merge(a_rows, a_cols, b_rows, b_cols) -> None:
-        a_idx = (a_rows * n_cols + a_cols).ravel()
-        b_idx = (b_rows * n_cols + b_cols).ravel()
-        both = flat[a_idx] & flat[b_idx]
-        for a, b in zip(a_idx[both], b_idx[both]):
-            uf.union(int(a), int(b))
-
-    rows = np.arange(n_rows)
-    cols = np.arange(n_cols)
-    grid_rows, grid_cols = np.meshgrid(rows, cols, indexing="ij")
-    # Horizontal edges.
-    merge(grid_rows[:, :-1], grid_cols[:, :-1], grid_rows[:, 1:], grid_cols[:, 1:])
-    # Vertical edges.
-    merge(grid_rows[:-1, :], grid_cols[:-1, :], grid_rows[1:, :], grid_cols[1:, :])
-    if periodic:
-        merge(grid_rows[:, -1:], grid_cols[:, -1:], grid_rows[:, :1], grid_cols[:, :1])
-        merge(grid_rows[-1:, :], grid_cols[-1:, :], grid_rows[:1, :], grid_cols[:1, :])
-
-    labels = np.full(mask.shape, -1, dtype=np.int64)
-    next_label = 0
-    root_to_label: dict[int, int] = {}
-    open_indices = np.flatnonzero(flat)
-    for index in open_indices:
-        root = uf.find(int(index))
-        if root not in root_to_label:
-            root_to_label[root] = next_label
-            next_label += 1
-        labels.ravel()[index] = root_to_label[root]
     return labels
 
 
@@ -339,7 +295,7 @@ def estimate_radius_tail(
     (so clusters cannot bridge them), and one :func:`cluster_radii`
     reduction for every origin cluster at once.  The chunk size caps memory
     at a few megabytes however large ``n_trials`` is.  Bitwise identical to
-    the retained per-trial loop :func:`_estimate_radius_tail_reference`
+    the per-trial loop it replaced (the reference in ``tests/oracles.py``)
     under a fixed seed.
     """
     if not 0.0 <= p_open <= 1.0:
@@ -372,42 +328,6 @@ def estimate_radius_tail(
         centers[origin_labels, 1] = box_radius
         origin_radii = cluster_radii(labels, centers)[origin_labels]
         hits += (origin_radii[:, None] >= radii_arr[None, :]).sum(axis=0)
-    return RadiusTailEstimate(
-        p_open=p_open,
-        radii=radii_arr,
-        probabilities=hits / max(n_trials, 1),
-        n_trials=max(n_trials, 0),
-    )
-
-
-def _estimate_radius_tail_reference(
-    p_open: float,
-    radii: list[int],
-    box_radius: int,
-    n_trials: int,
-    seed: SeedLike = None,
-) -> RadiusTailEstimate:
-    """Per-trial loop — the reference for :func:`estimate_radius_tail`.
-
-    One mask draw, labelling pass and origin :func:`cluster_radius` query per
-    trial.  Retained as the equivalence oracle for the property tests;
-    production code should always call the batched estimator.
-    """
-    if not 0.0 <= p_open <= 1.0:
-        raise PercolationError(f"p_open must lie in [0, 1], got {p_open}")
-    if any(k > box_radius for k in radii):
-        raise PercolationError("requested radii exceed the simulation box radius")
-    rng = make_rng(seed)
-    side = 2 * box_radius + 1
-    origin = (box_radius, box_radius)
-    radii_arr = np.asarray(sorted(radii), dtype=int)
-    hits = np.zeros(radii_arr.size, dtype=np.int64)
-    for _ in range(n_trials):
-        mask = rng.random((side, side)) < p_open
-        mask[origin] = True  # condition on the origin being open
-        labels = label_clusters(mask)
-        radius = cluster_radius(labels, origin)
-        hits += radius >= radii_arr
     return RadiusTailEstimate(
         p_open=p_open,
         radii=radii_arr,

@@ -106,9 +106,9 @@ class BatchedIndexSet:
     * **bulk build** (:meth:`fill_from_masks`) — the whole family initialised
       from boolean membership masks in a handful of array ops, replacing
       per-index insertion loops;
-    * **vectorized reads** (:meth:`counts`, :meth:`sample_rows`) — counts and
-      member lookups for many rows per numpy call, which is what the fused
-      flip loop consumes;
+    * **reads** (:meth:`counts`, :meth:`counts_view`, :meth:`members_view`)
+      — counts as one array, and list-speed element access for the flip
+      loop's per-replica candidate gathers;
     * **ordered updates** (:meth:`apply_ops`, :meth:`add_many`,
       :meth:`remove_many`) — the per-flip membership deltas.  These are
       inherently sequential *within* a row (every operation reads the count
@@ -393,14 +393,3 @@ class BatchedIndexSet:
                     members_mv[pair_base + position] = last
                     positions_mv[pair_base + last] = position
                     positions_mv[target] = -1
-
-    # ---------------------------------------------------------------- sampling
-
-    def sample_rows(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Members at packed positions ``draws`` of ``rows`` (vectorized).
-
-        ``draws[k]`` must lie in ``[0, count(rows[k]))``; the caller supplies
-        the uniform draws (the engine gets them from its blocked RNG streams),
-        so this is a pure gather.
-        """
-        return self._members[rows, draws]

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.regions import (
+from oracles import (
     _almost_monochromatic_radius_map_reference,
     _monochromatic_radius_map_reference,
+)
+from repro.analysis.regions import (
     almost_monochromatic_radius_map,
     expected_almost_region_size,
     expected_region_size,

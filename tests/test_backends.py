@@ -28,6 +28,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import ReferenceEnsembleDynamics
 from repro.core.backends import kernels
 from repro.core.backends.numba_backend import numba_available
 from repro.core.backends.registry import (
@@ -41,7 +42,7 @@ from repro.core.backends.registry import (
 )
 from repro.core.backends import registry as registry_module
 from repro.core.config import ModelConfig
-from repro.core.ensemble import EnsembleDynamics, ReferenceEnsembleDynamics
+from repro.core.ensemble import EnsembleDynamics
 from repro.core.variants import AsymmetricEnsemble, TwoSidedEnsemble
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiment, run_sweep

@@ -328,7 +328,7 @@ class TestReferenceEngineEquivalence:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     @pytest.mark.parametrize("tau", TAUS)
     def test_fused_matches_reference_engine(self, scheduler, tau):
-        from repro.core.ensemble import ReferenceEnsembleDynamics
+        from oracles import ReferenceEnsembleDynamics
 
         config = ModelConfig.square(
             side=16, horizon=2, tau=tau, scheduler=scheduler
@@ -344,7 +344,7 @@ class TestReferenceEngineEquivalence:
         assert np.array_equal(a.terminated, b.terminated)
 
     def test_reference_matches_always_flip_rule(self):
-        from repro.core.ensemble import ReferenceEnsembleDynamics
+        from oracles import ReferenceEnsembleDynamics
 
         config = ModelConfig.square(
             side=14, horizon=1, tau=0.4, flip_rule=FlipRule.ALWAYS
@@ -357,7 +357,7 @@ class TestReferenceEngineEquivalence:
         assert np.array_equal(a.final_time, b.final_time)
 
     def test_reference_accessors_match_fused(self):
-        from repro.core.ensemble import ReferenceEnsembleDynamics
+        from oracles import ReferenceEnsembleDynamics
 
         config = ModelConfig.square(side=14, horizon=1, tau=0.55)
         fused = EnsembleDynamics(config, n_replicas=2, seed=31)
@@ -451,48 +451,7 @@ class TestDeferredCounters:
 
 
 class TestDispatchRegimes:
-    """Both numpy round regimes and both window-LUT layouts stay scalar-exact."""
-
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_vectorized_control_plane_matches_scalar(self, monkeypatch, scheduler):
-        """Force the numpy backend's array round (vector filtering, draws,
-        clocks, sampling) at every size and pin it to scalar runs bitwise."""
-        from repro.rng import BlockedReplicaStreams
-
-        monkeypatch.setattr(BlockedReplicaStreams, "SCALAR_PATH_MAX", -1)
-        config = ModelConfig.square(
-            side=14, horizon=1, tau=0.45, scheduler=scheduler
-        )
-        ensemble = EnsembleDynamics(
-            config, n_replicas=3, seed=19, backend="numpy"
-        )
-        result = ensemble.run(max_flips=60)
-        for replica, seed in enumerate(ensemble.replica_seeds):
-            reference = scalar_reference(config, seed, max_flips=60)
-            assert np.array_equal(
-                reference.final_spins, result.final_spins[replica]
-            )
-            assert reference.n_flips == result.n_flips[replica]
-            assert reference.final_time == result.final_time[replica]
-
-    def test_vectorized_discrete_refusal_gate_matches_scalar(self, monkeypatch):
-        from repro.rng import BlockedReplicaStreams
-
-        monkeypatch.setattr(BlockedReplicaStreams, "SCALAR_PATH_MAX", -1)
-        config = ModelConfig.square(
-            side=14, horizon=1, tau=0.6, scheduler=SchedulerKind.DISCRETE
-        )
-        ensemble = EnsembleDynamics(
-            config, n_replicas=2, seed=3, backend="numpy"
-        )
-        result = ensemble.run(max_steps=80)
-        for replica, seed in enumerate(ensemble.replica_seeds):
-            simulation = Simulation(config, seed=seed)
-            reference = simulation.run(max_steps=80)
-            assert np.array_equal(
-                reference.final_spins, result.final_spins[replica]
-            )
-            assert reference.n_steps == result.n_steps[replica]
+    """Both window-LUT layouts stay scalar-exact."""
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_row_col_lut_fallback_matches_scalar(self, monkeypatch, scheduler):

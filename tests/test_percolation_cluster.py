@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PercolationError
+from oracles import _estimate_radius_tail_reference, _label_clusters_reference
 from repro.percolation.cluster import (
-    _estimate_radius_tail_reference,
-    _label_clusters_reference,
     cluster_bounding_stats,
     cluster_containing,
     cluster_radii,

@@ -1,5 +1,7 @@
 """Tests for the random number generator plumbing."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,97 @@ class TestZigguratTables:
         assert not _verify_ziggurat_tables(corrupted)
 
 
+class TestZigguratCacheFile:
+    """Every untrusted or unreadable cache file is a miss that recalibrates."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch, tmp_path):
+        """Point the cache at ``tmp_path`` and count recalibrations."""
+        import repro.rng as rng_module
+
+        path = tmp_path / "zig.npz"
+        calibrations = []
+        calibrate = rng_module._calibrate_ziggurat_tables
+
+        def counting_calibrate():
+            calibrations.append(1)
+            return calibrate()
+
+        monkeypatch.setattr(rng_module, "_ziggurat_cache_path", lambda: path)
+        monkeypatch.setattr(
+            rng_module, "_calibrate_ziggurat_tables", counting_calibrate
+        )
+        monkeypatch.setattr(rng_module, "_ZIGGURAT_TABLES", None)
+
+        def load():
+            monkeypatch.setattr(rng_module, "_ZIGGURAT_TABLES", None)
+            tables = rng_module.ziggurat_exponential_tables()
+            assert rng_module._verify_ziggurat_tables(tables)
+            return tables
+
+        return path, calibrations, load
+
+    def test_private_cache_file_is_loaded(self, cache):
+        path, calibrations, load = cache
+        load()
+        assert calibrations == [1] and path.is_file()
+        load()
+        assert calibrations == [1]  # second load hit the file
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty"])
+    def test_damaged_file_recalibrates_and_is_rewritten(self, cache, damage):
+        path, calibrations, load = cache
+        load()
+        data = path.read_bytes()
+        # A truncated zip raises zipfile.BadZipFile, an empty file EOFError.
+        path.write_bytes(data[: len(data) // 2] if damage == "truncated" else b"")
+        load()
+        assert calibrations == [1, 1]
+        load()  # the rewritten file is whole again
+        assert calibrations == [1, 1]
+
+    def test_symlinked_file_is_ignored(self, cache, tmp_path):
+        path, calibrations, load = cache
+        load()
+        target = tmp_path / "planted.npz"
+        path.rename(target)
+        path.symlink_to(target)
+        load()
+        assert calibrations == [1, 1]
+        assert not path.is_symlink()  # replaced by a private regular file
+
+    def test_group_writable_file_is_ignored(self, cache):
+        path, calibrations, load = cache
+        load()
+        path.chmod(0o664)
+        load()
+        assert calibrations == [1, 1]
+
+    @pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX ownership")
+    def test_file_owned_by_another_user_is_ignored(self, cache, monkeypatch):
+        import repro.rng as rng_module
+
+        path, calibrations, load = cache
+        load()
+        owner = path.stat().st_uid
+        monkeypatch.setattr(rng_module.os, "getuid", lambda: owner + 1)
+        load()
+        assert calibrations == [1, 1]
+
+    def test_failed_write_leaves_no_temp_file(self, cache, monkeypatch, tmp_path):
+        import repro.rng as rng_module
+
+        path, calibrations, load = cache
+
+        def refuse(src, dst):
+            raise OSError("read-only cache directory")
+
+        monkeypatch.setattr(rng_module.os, "replace", refuse)
+        load()
+        assert calibrations == [1]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestPcg64StateAfter:
     def test_matches_bit_generator_advance(self):
         from repro.rng import pcg64_state_after
@@ -119,15 +212,13 @@ class TestPcg64StateAfter:
 
 
 def _interleaved_reference(seeds, script):
-    """Replay a draw script through per-replica scalar Generator calls."""
+    """Replay a step script through per-replica scalar Generator calls."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     out = []
-    for kind, replica, high in script:
-        if kind == "exp":
-            out.append(rngs[replica].standard_exponential())
-        else:
-            out.append(int(rngs[replica].integers(0, high)))
-    return out, [rng.bit_generator.state for rng in rngs]
+    for replica, high, exponential in script:
+        wait = rngs[replica].standard_exponential() if exponential else 0.0
+        out.append((wait, int(rngs[replica].integers(0, high))))
+    return out
 
 
 class TestBlockedReplicaStreams:
@@ -135,37 +226,65 @@ class TestBlockedReplicaStreams:
 
     SEEDS = [101, 202, 303]
 
-    def _script(self, n_steps=400, seed=0):
+    def _script(self, n_steps=400, seed=0, highs=None):
+        """Steps ``(replica, high, exponential)`` over interleaved replicas.
+
+        ``high == 1`` steps (about 1 in 8 by default) check that a
+        single-member sampler consumes no candidate words."""
         rng = np.random.default_rng(seed)
         script = []
         for _ in range(n_steps):
             replica = int(rng.integers(0, len(self.SEEDS)))
-            if rng.random() < 0.6:
-                script.append(("exp", replica, 0))
-            script.append(("int", replica, int(rng.integers(1, 50_000))))
+            if highs is not None:
+                high = int(highs[int(rng.integers(0, len(highs)))])
+            elif rng.random() < 0.125:
+                high = 1
+            else:
+                high = int(rng.integers(2, 50_000))
+            script.append((replica, high, bool(rng.random() < 0.6)))
         return script
+
+    def _streams(self, block_words):
+        from repro.rng import BlockedReplicaStreams
+
+        return BlockedReplicaStreams(
+            [np.random.default_rng(seed) for seed in self.SEEDS],
+            block_words=block_words,
+        )
 
     @pytest.mark.parametrize("block_words", [1, 2, 3, 64, 4096])
     def test_bitwise_equal_to_scalar_draws(self, block_words):
         """Boundary block sizes: one-word blocks force a refill per draw,
         larger ones exercise exact exhaustion and mid-block hand-offs."""
-        from repro.rng import BlockedReplicaStreams
-
-        streams = BlockedReplicaStreams(
-            [np.random.default_rng(seed) for seed in self.SEEDS],
-            block_words=block_words,
-        )
+        streams = self._streams(block_words)
         script = self._script()
-        expected, _ = _interleaved_reference(self.SEEDS, script)
-        for step, (kind, replica, high) in enumerate(script):
-            rows = np.array([replica])
-            if kind == "exp":
-                got = streams.standard_exponential(rows)[0]
-            else:
-                got = int(
-                    streams.bounded_integers(rows, np.array([high]))[0]
-                )
-            assert got == expected[step], (block_words, step, kind)
+        expected = _interleaved_reference(self.SEEDS, script)
+        for step, (replica, high, exponential) in enumerate(script):
+            got = streams.draw(replica, high, exponential)
+            assert got == expected[step], (block_words, step)
+
+    @pytest.mark.parametrize("block_words", [1, 2, 3, 4096])
+    @pytest.mark.parametrize("high", [2**31 + 1, 3 * 2**30])
+    def test_lemire_rejection_matches_live_integers(self, block_words, high):
+        """Highs with large Lemire rejection odds (~50% for ``2**31 + 1``,
+        25% for ``3 * 2**30``) drive the rejection loop on most steps; the
+        candidates and the words it consumes must stay numpy's own."""
+        streams = self._streams(block_words)
+        next32 = streams._next32_scalar
+        calls = []
+
+        def counting_next32(replica):
+            calls.append(replica)
+            return next32(replica)
+
+        streams._next32_scalar = counting_next32
+        script = self._script(n_steps=300, seed=4, highs=[high])
+        expected = _interleaved_reference(self.SEEDS, script)
+        for step, (replica, step_high, exponential) in enumerate(script):
+            got = streams.draw(replica, step_high, exponential)
+            assert got == expected[step], (block_words, high, step)
+        # Every step draws one candidate; the surplus is rejected candidates.
+        assert len(calls) - len(script) > len(script) // 8
 
     def test_exact_exhaustion_boundary(self):
         """A block consumed exactly to its end refills with zero overrun."""
@@ -175,52 +294,23 @@ class TestBlockedReplicaStreams:
             [np.random.default_rng(1)], block_words=4
         )
         reference = np.random.default_rng(1)
-        rows = np.array([0])
         # high=2**32 would leave the 32-bit path; large highs below it
         # consume exactly one 32-bit half-word per draw -> 8 draws per block.
         for _ in range(16):
-            got = int(streams.bounded_integers(rows, np.array([2**31]))[0])
+            got = streams.draw(0, 2**31, False)[1]
             assert got == int(reference.integers(0, 2**31))
         assert streams._pos[0] in (0, 4) or streams._pos[0] < 4
-
-    def test_draw_step_matches_split_calls(self):
-        """The fused step draw equals exponential-then-integers, both regimes."""
-        from repro.rng import BlockedReplicaStreams
-
-        script_rng = np.random.default_rng(9)
-        for scalar_regime in (True, False):
-            split = BlockedReplicaStreams(
-                [np.random.default_rng(seed) for seed in self.SEEDS]
-            )
-            fused = BlockedReplicaStreams(
-                [np.random.default_rng(seed) for seed in self.SEEDS]
-            )
-            threshold = BlockedReplicaStreams.SCALAR_PATH_MAX
-            if not scalar_regime:
-                fused.SCALAR_PATH_MAX = -1  # force the vectorized branch
-            try:
-                for _ in range(200):
-                    rows = np.arange(len(self.SEEDS), dtype=np.int64)
-                    highs = script_rng.integers(1, 30_000, size=rows.size)
-                    exp_a = split.standard_exponential(rows)
-                    int_a = split.bounded_integers(rows, highs)
-                    exp_b, int_b = fused.draw_step(rows, highs, True)
-                    assert np.array_equal(exp_a, exp_b)
-                    assert np.array_equal(int_a, int_b)
-            finally:
-                fused.SCALAR_PATH_MAX = threshold
 
     def test_high_of_one_consumes_nothing(self):
         from repro.rng import BlockedReplicaStreams
 
         streams = BlockedReplicaStreams([np.random.default_rng(3)])
         reference = np.random.default_rng(3)
-        rows = np.array([0])
-        assert int(streams.bounded_integers(rows, np.array([1]))[0]) == 0
+        assert streams.draw(0, 1, False) == (0.0, 0)
         # The next draw still matches the scalar stream: integers(0, 1)
         # consumed no words there either.
         assert int(reference.integers(0, 1)) == 0
-        assert int(streams.bounded_integers(rows, np.array([1000]))[0]) == int(
+        assert streams.draw(0, 1000, False)[1] == int(
             reference.integers(0, 1000)
         )
 

@@ -8,8 +8,9 @@ against the numpy backend's host loop over every axis that changes where a
 native run stops or resumes:
 
 * backend — every available one (numba where installed);
-* R ∈ {1, 8, 32, 33} — 32/33 straddle the numpy backend's switch from its
-  scalar round to its array round;
+* R ∈ {1, 8, 32, 33} — every backend has one round path at every R; 32/33
+  stay because they are the replica counts of cffi's no-cliff rate gate
+  (``bench_flip_loop.py``), so the gated sizes are also the pinned ones;
 * ``rng_block_words`` ∈ {1, 7, 4096} — a one-word block makes nearly every
   draw an event;
 * budgets — none, ``max_flips``, ``max_steps``, ``max_time``;

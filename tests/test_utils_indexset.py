@@ -164,14 +164,6 @@ class TestBatchedIndexSetBasics:
         batched.clear()
         assert batched.counts.tolist() == [0]
 
-    def test_sample_rows_gathers_members(self):
-        from repro.utils.indexset import BatchedIndexSet
-
-        batched = BatchedIndexSet(2, 8)
-        batched.add_many([0, 0, 1, 1], [7, 2, 0, 4])
-        flats = batched.sample_rows(np.array([0, 1]), np.array([1, 0]))
-        assert flats.tolist() == [2, 0]
-
     def test_views_expose_live_buffers(self):
         from repro.utils.indexset import BatchedIndexSet
 
@@ -182,7 +174,7 @@ class TestBatchedIndexSetBasics:
 
 
 def _reference_sets(n_sets, capacity):
-    from repro.core.ensemble import _ReplicaIndexSet
+    from oracles import _ReplicaIndexSet
 
     return [_ReplicaIndexSet(capacity) for _ in range(n_sets)]
 
