@@ -113,7 +113,10 @@ def monochromatic_radius_map(
     l-infinity distance ``rho`` of ``(i, j)`` has the same type as the agent
     at ``(i, j)`` (0 when even the 3x3 window is mixed... i.e. when only the
     agent itself qualifies).  The scan stops at ``max_radius`` or at the
-    largest radius that fits on the torus, whichever is smaller.
+    largest radius that fits on the torus, whichever is smaller;
+    ``max_radius=None`` scans uncapped, up to the torus limit.  The sweep
+    pipeline caps its scans with
+    :func:`~repro.analysis.segregation.default_region_radius` instead.
 
     Window monochromaticity is monotone in the radius (a sub-window of a
     uniform window is uniform), so instead of the linear per-radius
@@ -268,6 +271,11 @@ def almost_monochromatic_radius_map(
     sweep touches a rapidly shrinking population.  Bitwise identical to the
     linear per-radius scan (the reference in ``tests/oracles.py``), which
     the equivalence tests assert.
+
+    ``max_radius=None`` scans uncapped, from the largest radius that fits on
+    the torus down, and the cost grows with that radius.  The sweep
+    pipeline caps its scans with
+    :func:`~repro.analysis.segregation.default_region_radius` instead.
 
     ``table`` optionally supplies a precomputed :func:`region_scan_table` so
     several scans of the same configuration share one build.

@@ -287,8 +287,8 @@ def _add_backend_argument(subparser: argparse.ArgumentParser) -> None:
 def _add_store_arguments(subparser: argparse.ArgumentParser) -> None:
     """Attach the shared store-selection flags to ``query`` or ``serve``.
 
-    ``--store`` is repeatable: one flag serves a single store, several build
-    a :class:`FederatedQueryEngine` routing queries by parameter coverage.
+    ``--store`` is repeatable: one flag serves a single store, several serve
+    the union of their cells behind one :class:`QueryEngine`.
     Every named store is integrity-audited at startup; ``--allow-damaged``
     downgrades a failed audit from a refusal to serving only the cells that
     pass the line-level checks.
@@ -746,23 +746,6 @@ def _open_verified_stores(args: argparse.Namespace) -> list:
     return stores
 
 
-def _make_query_engine(args: argparse.Namespace):
-    """Build the query engine shared by ``query`` and ``serve``.
-
-    One ``--store`` gives a plain :class:`QueryEngine`; several federate.
-    """
-    from repro.serving.cache import make_query_cache
-    from repro.serving.federation import build_engine
-
-    return build_engine(
-        _open_verified_stores(args),
-        cache=make_query_cache(args.cache_size),
-        interpolate=args.interpolate,
-        on_miss=args.on_miss,
-        max_distance=args.max_distance,
-    )
-
-
 def _command_query(args: argparse.Namespace, out) -> int:
     """Answer one parameter-point query and print the JSON answer.
 
@@ -772,9 +755,17 @@ def _command_query(args: argparse.Namespace, out) -> int:
     """
     from repro.errors import QueryMiss, ReproError, StoreDamaged
     from repro.experiments.io import json_default
+    from repro.serving.cache import make_query_cache
+    from repro.serving.query import QueryEngine
 
     try:
-        engine = _make_query_engine(args)
+        engine = QueryEngine(
+            _open_verified_stores(args),
+            cache=make_query_cache(args.cache_size),
+            interpolate=args.interpolate,
+            on_miss=args.on_miss,
+            max_distance=args.max_distance,
+        )
         answer = engine.answer(args.point)
     except StoreDamaged as exc:
         print(f"error: {exc}", file=sys.stderr)

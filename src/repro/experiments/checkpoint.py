@@ -64,7 +64,7 @@ import tempfile
 import warnings
 import zlib
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro._version import __version__
 from repro.errors import CheckpointWarning, ExperimentError
@@ -177,46 +177,31 @@ class SweepCheckpoint:
         self.cell_hashes = [spec_hash(cell) for cell in cells]
         self._completed: dict[str, list[dict[str, object]]] = {}
         self._failures: dict[str, dict[str, object]] = {}
-        if self.metrics_path.exists():
-            self._load_metrics()
+        self._load_metrics()
         self._check_or_write_manifest(cells, sweep)
 
     # ------------------------------------------------------------- load side
 
     def _load_metrics(self) -> None:
-        """Parse ``metrics.jsonl``, tolerating torn lines.
+        """Load ``metrics.jsonl`` via :func:`scan_records`, tolerating damage.
 
         A run killed mid-append leaves a line that is not valid JSON —
         usually the trailing one, but :meth:`record` terminates an inherited
         torn tail before appending, so a twice-interrupted log can carry an
-        invalid line mid-file.  Invalid or CRC-mismatched lines are skipped
-        individually *with a* :class:`~repro.errors.CheckpointWarning`
-        *naming the file, line number and byte count dropped* — a lossy
-        resume must be distinguishable from a clean one; every line that
-        parses and verifies is a whole record (they are flushed
-        line-atomically), and a skipped cell simply reruns.
+        invalid line mid-file.  Invalid, non-object or CRC-mismatched lines
+        are skipped individually *with a*
+        :class:`~repro.errors.CheckpointWarning` *naming the file, line
+        number and byte count dropped* — a lossy resume must be
+        distinguishable from a clean one; every line that parses and
+        verifies is a whole record (they are flushed line-atomically), and a
+        skipped cell simply reruns.
         """
-        for number, line in enumerate(
-            self.metrics_path.read_text().splitlines(), start=1
-        ):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                self._warn_dropped(number, line, "not valid JSON (torn line?)")
-                continue
-            if verify_record_crc(record) is False:
-                self._warn_dropped(number, line, "CRC32 mismatch (corrupt)")
-                continue
-            cell_hash = record.get("spec_hash")
-            rows = record.get("rows")
-            failure = record.get("failure")
-            if isinstance(cell_hash, str) and isinstance(rows, list):
-                self._completed[cell_hash] = rows
-            elif isinstance(cell_hash, str) and isinstance(failure, dict):
-                self._failures[cell_hash] = failure
+        records = scan_records(self.directory, on_drop=self._warn_dropped)
+        for cell_hash, record in records.items():
+            if isinstance(record.get("rows"), list):
+                self._completed[cell_hash] = record["rows"]
+            else:
+                self._failures[cell_hash] = record["failure"]
 
     def _warn_dropped(self, number: int, line: str, reason: str) -> None:
         """Warn that one metrics line was dropped, with its identity."""
@@ -225,7 +210,7 @@ class SweepCheckpoint:
             f"({len(line.encode('utf-8'))} bytes): {reason}; "
             "the affected cell will rerun on resume",
             CheckpointWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
     def _check_or_write_manifest(
@@ -637,29 +622,44 @@ def load_manifest(directory: PathLike) -> Optional[dict]:
     return manifest
 
 
-def scan_records(directory: PathLike) -> dict[str, dict[str, object]]:
+def scan_records(
+    directory: PathLike,
+    on_drop: Optional[Callable[[int, str, str], None]] = None,
+) -> dict[str, dict[str, object]]:
     """Latest usable record per spec hash, in first-appearance order.
 
-    Applies the loader's semantics without building a sweep: lines that do
-    not parse or fail their CRC are skipped silently (this is a read-side
-    scan — :class:`SweepCheckpoint` owns the warning on resume), a ``rows``
-    record supersedes an earlier ``failure`` record for the same hash, and a
+    The one record filter over ``metrics.jsonl``: lines that do not parse,
+    are not JSON objects or fail their CRC are skipped, a ``rows`` record
+    supersedes an earlier ``failure`` record for the same hash, and a
     repeated ``failure`` keeps the latest one.  Each value is the parsed
     record dict (``cell_index``/``cell_name`` plus ``rows`` or ``failure``).
+    Skipped lines are silent unless ``on_drop(line_number, line, reason)``
+    is given — resume (:class:`SweepCheckpoint`) passes its warning.
     """
     metrics_path = Path(directory) / METRICS_NAME
     records: dict[str, dict[str, object]] = {}
     if not metrics_path.exists():
         return records
-    for line in metrics_path.read_text().splitlines():
+    for number, line in enumerate(
+        metrics_path.read_text().splitlines(), start=1
+    ):
         line = line.strip()
         if not line:
             continue
         try:
             record = json.loads(line)
         except ValueError:
-            continue
-        if not isinstance(record, dict) or verify_record_crc(record) is False:
+            record, reason = None, "not valid JSON (torn line?)"
+        else:
+            if not isinstance(record, dict):
+                reason = "not a JSON object"
+            elif verify_record_crc(record) is False:
+                reason = "CRC32 mismatch (corrupt)"
+            else:
+                reason = None
+        if reason is not None:
+            if on_drop is not None:
+                on_drop(number, line, reason)
             continue
         cell_hash = record.get("spec_hash")
         if not isinstance(cell_hash, str):

@@ -249,7 +249,7 @@ def store_signature(
 class StoreWatcher(threading.Thread):
     """Polls store artifacts and swaps refreshed engine snapshots in.
 
-    ``build_engine(generation)`` must return a **fully loaded** engine over
+    ``fresh_engine(generation)`` must return a **fully loaded** engine over
     a fresh read of the store directories — the watcher calls it only after
     the signature moved, and swaps the result into ``service`` in one
     assignment.  Generations increase monotonically, and the engine folds
@@ -263,7 +263,7 @@ class StoreWatcher(threading.Thread):
         self,
         service: QueryService,
         directories: Sequence[PathLike],
-        build_engine: Callable[[int], object],
+        fresh_engine: Callable[[int], object],
         interval: float = 2.0,
         initial_generation: int = 0,
     ) -> None:
@@ -274,7 +274,7 @@ class StoreWatcher(threading.Thread):
         super().__init__(name="repro-store-watcher", daemon=True)
         self.service = service
         self.directories = [Path(directory) for directory in directories]
-        self.build_engine = build_engine
+        self.fresh_engine = fresh_engine
         self.interval = float(interval)
         self.generation = int(initial_generation)
         self._stop_event = threading.Event()
@@ -291,7 +291,7 @@ class StoreWatcher(threading.Thread):
             return False
         next_generation = self.generation + 1
         try:
-            engine = self.build_engine(next_generation)
+            engine = self.fresh_engine(next_generation)
         except Exception:
             # A torn mid-append read or transient damage must never take
             # down the service: keep serving the last good snapshot and

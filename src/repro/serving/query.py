@@ -1,8 +1,10 @@
-"""Parameter-point queries against a sweep artifact store.
+"""Parameter-point queries against one or many sweep artifact stores.
 
-The store holds aggregates at the sweep's grid points; consumers ask for
+A store holds aggregates at its sweep's grid points; consumers ask for
 arbitrary ``(rho, tau, w)`` points.  :class:`QueryEngine` resolves a query in
-a fixed priority order:
+a fixed priority order over the answerable cells of every store it serves
+(a phase diagram rarely lives in one sweep: different runs cover different
+regions, at different resolutions):
 
 1. **Exact match** — a summary cell whose parameters equal the query point
    bit-for-bit returns its stored aggregates unchanged.
@@ -15,17 +17,18 @@ a fixed priority order:
 3. **Nearest cell** — the cell minimising the *normalized Euclidean
    distance* ``d(q, c) = sqrt(sum_a ((q_a - c_a) / s_a)^2)`` over the axes
    ``a in (rho, tau, w)``, where the scale ``s_a`` is the range
-   (``max - min``) of axis ``a`` over the store's answerable cells, or 1.0
+   (``max - min``) of axis ``a`` over all answerable cells, or 1.0
    for a degenerate axis.  Normalizing by range makes the axes commensurate
    (a horizon step of 1 is not drowned out by a density step of 0.05) and
    depends only on the *set* of cells, so the lookup is deterministic under
    any shuffling of store rows; ties break lexicographically on the cell's
-   ``(params, spec_hash)``, never on storage order.  ``max_distance`` can
-   bound how far an answer may be from the query.
+   ``(params, spec_hash, store)``, never on storage or store order.
+   ``max_distance`` can bound how far an answer may be from the query.
 4. **Miss policy** — with no answer within bounds, ``on_miss="error"``
    raises :class:`~repro.errors.QueryMiss`; ``on_miss="compute"`` schedules
    a fresh simulation of the point (deterministically seeded from the
-   store's sweep) and answers from its aggregates.
+   sweep of the store owning the nearest cell) and answers from its
+   aggregates.
 
 Resolved answers flow through a bounded thread-safe **single-flight** LRU
 cache (:mod:`repro.serving.cache`) keyed on the resolved point and the
@@ -48,8 +51,9 @@ never cached — they are a capacity artifact, not the point's true answer.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
-from typing import Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from repro.errors import (
     DeadlineExceeded,
@@ -80,24 +84,29 @@ AXIS_ALIASES = {
 ON_MISS_POLICIES = ("error", "compute")
 
 
-def parse_query(text: str) -> dict[str, float]:
-    """Parse ``"rho=0.4,tau=0.55,w=2"`` into a partial axis → value map.
+def parse_query(query: Union[str, Mapping[str, object]]) -> dict[str, float]:
+    """Parse ``"rho=0.4,tau=0.55,w=2"`` or an axis mapping into a point.
 
     Accepts the aliases in :data:`AXIS_ALIASES`, rejects unknown axes,
     duplicates and non-numeric values.  Axes may be omitted — the engine
     fills an omitted axis when the store pins it to a single value.
     """
+    if isinstance(query, str):
+        terms = []
+        for part in query.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            name, sep, raw = part.partition("=")
+            if not sep:
+                raise ServingError(
+                    f"query term {part!r} is not of the form axis=value"
+                )
+            terms.append((name.strip().lower(), raw.strip()))
+    else:
+        terms = [(str(name).lower(), value) for name, value in query.items()]
     point: dict[str, float] = {}
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, sep, raw = part.partition("=")
-        name = name.strip().lower()
-        if not sep:
-            raise ServingError(
-                f"query term {part!r} is not of the form axis=value"
-            )
+    for name, value in terms:
         axis = AXIS_ALIASES.get(name)
         if axis is None:
             known = ", ".join(sorted(AXIS_ALIASES))
@@ -107,11 +116,10 @@ def parse_query(text: str) -> dict[str, float]:
         if axis in point:
             raise ServingError(f"query names axis {axis!r} more than once")
         try:
-            point[axis] = float(raw.strip())
-        except ValueError:
+            point[axis] = float(value)
+        except (TypeError, ValueError):
             raise ServingError(
-                f"query value {raw.strip()!r} for axis {axis!r} is not a "
-                "number"
+                f"query value {value!r} for axis {axis!r} is not a number"
             ) from None
     if not point:
         raise ServingError("empty query — name at least one axis=value term")
@@ -123,9 +131,9 @@ def axis_scales(cells: list[dict]) -> dict[str, float]:
 
     ``s_a = max_a - min_a`` over the cells' parameter points, with 1.0 for a
     degenerate axis (single value) so a division never blows up.  A pure
-    function of the cell *set* — invariant under storage order, and in a
-    federation computed over the union of every member store's cells so the
-    metric is commensurate across stores.
+    function of the cell *set* — invariant under storage order, and over
+    several stores computed on the union of their cells so the metric is
+    commensurate across stores.
     """
     scales: dict[str, float] = {}
     for axis in AXES:
@@ -147,18 +155,20 @@ def normalized_distance(
     )
 
 
+def _cell_point(cell: dict) -> tuple[float, float, float]:
+    """A cell's parameter point as a ``(rho, tau, w)`` key."""
+    params = cell["params"]
+    return tuple(float(params[axis]) for axis in AXES)
+
+
 def _cell_rank(cell: dict) -> tuple:
     """Deterministic tie-break rank: parameter point, spec hash, then store.
 
-    The trailing store tag (set by the federated engine, empty for a single
-    store) makes ties deterministic even when two member stores hold cells
-    with identical parameters and hashes.
+    The trailing store tag (set over several stores, empty for one) makes
+    ties deterministic even when two stores hold cells with identical
+    parameters and hashes.
     """
-    params = cell["params"]
-    return (
-        float(params["rho"]),
-        float(params["tau"]),
-        float(params["w"]),
+    return _cell_point(cell) + (
         str(cell.get("spec_hash", "")),
         str(cell.get("store", "")),
     )
@@ -176,6 +186,19 @@ def _answer_cell_entry(cell: dict, weight: float) -> dict:
     if cell.get("store") is not None:
         entry["store"] = cell["store"]
     return entry
+
+
+def _single_cell_answer(
+    point: dict[str, float], source: str, cell: dict, distance: float
+) -> dict:
+    """The answer payload of an exact or nearest single-cell match."""
+    return {
+        "point": point,
+        "source": source,
+        "distance": distance,
+        "metrics": cell["metrics"],
+        "cells": [_answer_cell_entry(cell, 1.0)],
+    }
 
 
 def _blend(corners: list[tuple[float, dict]]) -> dict[str, dict[str, float]]:
@@ -274,9 +297,21 @@ def bilinear_answer(
 
 
 class QueryEngine:
-    """Cached parameter-point lookups against one artifact store.
+    """Cached parameter-point lookups against one or many artifact stores.
 
-    Thread-safe: resolution state is read-only after construction and the
+    ``stores`` is one store (directory or :class:`ArtifactStore`) or a
+    sequence of them; at least one is required and duplicate directories are
+    rejected (a store listed twice would only double its weight in
+    tie-breaks — almost certainly a typo).  Over several stores every rule
+    resolves against the *union* of their answerable cells: an exact match
+    anywhere wins, interpolation corners and the nearest cell come from the
+    union with union-wide distance scales, and each union cell (so each
+    answer cell) is tagged with its store's directory.  A single store's
+    cells stay untagged — there is nothing to disambiguate.  Compute-on-miss
+    inherits its methodology from the store owning the query's region (see
+    :meth:`_sweep_for_compute`).
+
+    Thread-safe: resolution state is read-only after :meth:`load` and the
     answer cache takes its own lock, so one engine instance backs the
     threaded HTTP server directly.  An engine is a *snapshot*: it answers
     from the store state it first loaded.  The refresh poller
@@ -284,16 +319,11 @@ class QueryEngine:
     engine with a successor of the next ``generation`` rather than mutating
     one in place; ``generation`` is folded into every cache key so a shared
     cache never serves a superseded snapshot's answer.
-
-    The store-access points (:meth:`answer_cells`,
-    :meth:`_sweep_for_compute`, :meth:`_store_stats`) are overridable hooks —
-    :class:`~repro.serving.federation.FederatedQueryEngine` reroutes them
-    over many stores while inheriting every resolution rule unchanged.
     """
 
     def __init__(
         self,
-        store: Union[ArtifactStore, PathLike],
+        stores: Union[ArtifactStore, PathLike, Sequence],
         cache: Optional[LRUCache] = None,
         interpolate: bool = False,
         on_miss: str = "error",
@@ -305,90 +335,88 @@ class QueryEngine:
             raise ServingError(
                 f"on_miss must be one of {ON_MISS_POLICIES}, got {on_miss!r}"
             )
-        if not isinstance(store, ArtifactStore):
-            store = ArtifactStore(store)
-        self.store = store
+        if isinstance(stores, (ArtifactStore, str)) or hasattr(
+            stores, "__fspath__"
+        ):
+            stores = [stores]
+        self.stores = [
+            store if isinstance(store, ArtifactStore) else ArtifactStore(store)
+            for store in stores
+        ]
+        if not self.stores:
+            raise ServingError(
+                "no store directories given — a query engine needs at least "
+                "one store"
+            )
+        directories = [str(store.directory) for store in self.stores]
+        if len(set(directories)) != len(directories):
+            raise ServingError(f"duplicate store directories: {directories}")
         self.cache = cache if cache is not None else make_query_cache()
         self.interpolate = bool(interpolate)
         self.on_miss = on_miss
         self.max_distance = max_distance
         self.gate = gate
         self.generation = int(generation)
-
-    # ----------------------------------------------------------- store hooks
-
-    def answer_cells(self) -> list[dict]:
-        """The answerable cells this snapshot resolves against."""
-        return self.store.answerable_cells()
-
-    def _sweep_for_compute(self, point: dict[str, float]):
-        """The sweep spec computed answers inherit their parameters from."""
-        return self.store.sweep()
-
-    def _store_stats(self) -> dict:
-        """The ``store`` section of :meth:`stats`."""
-        return {
-            "directory": str(self.store.directory),
-            "n_cells": len(self.store.cells()),
-            "n_answerable": len(self.store.answerable_cells()),
-            "generation": self.generation,
-        }
+        #: The snapshot's tables, built once by :meth:`load`: the answerable
+        #: cells in rank order (store-tagged over several stores), the
+        #: first-ranked cell per exact parameter point, and the union's
+        #: distance scales.
+        self._cells: Optional[list[dict]] = None
+        self._load_lock = threading.Lock()
+        self._exact: dict[tuple[float, float, float], dict] = {}
+        self._scales: dict[str, float] = {}
 
     def load(self) -> "QueryEngine":
-        """Eagerly read the store so this snapshot never touches disk again.
+        """Read the stores and build the snapshot's tables, once.
 
-        The refresh poller builds successors with this before swapping them
-        in: the (possibly mid-append) disk read happens in the poller
-        thread, and requests only ever see fully loaded snapshots.
+        Every lookup goes through here, so an engine never touches disk
+        after its first load.  The refresh poller builds successors with
+        this before swapping them in: the (possibly mid-append) disk read
+        happens in the poller thread, and requests only ever see fully
+        loaded snapshots.
         """
-        self.answer_cells()
+        if self._cells is not None:
+            return self
+        with self._load_lock:
+            if self._cells is None:
+                tagged = len(self.stores) > 1
+                cells = [
+                    dict(cell, store=str(store.directory)) if tagged else cell
+                    for store in self.stores
+                    for cell in store.answerable_cells()
+                ]
+                cells.sort(key=_cell_rank)
+                exact: dict[tuple[float, float, float], dict] = {}
+                for cell in cells:
+                    exact.setdefault(_cell_point(cell), cell)
+                self._exact = exact
+                self._scales = axis_scales(cells)
+                self._cells = cells  # last: a set ``_cells`` means loaded
         return self
+
+    def answer_cells(self) -> list[dict]:
+        """The answerable cells this snapshot resolves against, by rank."""
+        return list(self.load()._cells)
 
     # ------------------------------------------------------------ resolution
 
     def resolve_point(
-        self, query: Union[str, dict[str, float]]
+        self, query: Union[str, Mapping[str, object]]
     ) -> dict[str, float]:
         """Normalize a query into a full ``{rho, tau, w}`` point.
 
-        String queries go through :func:`parse_query`; dict queries accept
-        the same aliases.  An omitted axis is filled from the store when the
-        answerable cells pin it to a single value, and is an error (the
-        query is ambiguous) otherwise.
+        The query goes through :func:`parse_query`.  An omitted axis is
+        filled from the store when the answerable cells pin it to a single
+        value, and is an error (the query is ambiguous) otherwise.
         """
-        if isinstance(query, str):
-            partial = parse_query(query)
-        else:
-            partial = {}
-            for name, value in dict(query).items():
-                axis = AXIS_ALIASES.get(str(name).lower())
-                if axis is None:
-                    known = ", ".join(sorted(AXIS_ALIASES))
-                    raise ServingError(
-                        f"unknown query axis {name!r} (known: {known})"
-                    )
-                if axis in partial:
-                    raise ServingError(
-                        f"query names axis {axis!r} more than once"
-                    )
-                try:
-                    partial[axis] = float(value)
-                except (TypeError, ValueError):
-                    raise ServingError(
-                        f"query value {value!r} for axis {axis!r} is not a "
-                        "number"
-                    ) from None
-            if not partial:
-                raise ServingError(
-                    "empty query — name at least one axis=value term"
-                )
+        partial = parse_query(query)
         point: dict[str, float] = {}
         for axis in AXES:
             if axis in partial:
                 point[axis] = partial[axis]
                 continue
             pinned = {
-                float(cell["params"][axis]) for cell in self.answer_cells()
+                float(cell["params"][axis]) for cell in self.load()._cells
             }
             if len(pinned) == 1:
                 point[axis] = pinned.pop()
@@ -400,57 +428,43 @@ class QueryEngine:
                 )
         return point
 
-    def _nearest_answer(
-        self, point: dict[str, float], cells: list[dict]
-    ) -> tuple[dict, float]:
-        """The nearest-cell answer payload and its normalized distance."""
-        scales = axis_scales(cells)
-        nearest = min(
-            cells,
-            key=lambda cell: (
-                normalized_distance(point, cell["params"], scales),
-                _cell_rank(cell),
+    def _nearest(self, point: dict[str, float]) -> tuple[dict, float]:
+        """The nearest cell and its normalized distance.
+
+        The cells are in rank order and ``min`` keeps the first of equal
+        keys, so ties break on the rank, never on storage order.
+        """
+        scales = self._scales
+        return min(
+            (
+                (cell, normalized_distance(point, cell["params"], scales))
+                for cell in self._cells
             ),
+            key=lambda entry: entry[1],
         )
-        distance = normalized_distance(point, nearest["params"], scales)
-        answer = {
-            "point": point,
-            "source": "nearest",
-            "distance": distance,
-            "metrics": nearest["metrics"],
-            "cells": [_answer_cell_entry(nearest, 1.0)],
-        }
-        return answer, distance
 
     def _lookup(self, point: dict[str, float], interpolate: bool) -> dict:
-        """Resolve one full point against the store (uncached)."""
-        cells = self.answer_cells()
+        """Resolve one full point against the snapshot (uncached)."""
+        cells = self.load()._cells
         if not cells:
             return self._miss(point, "the store has no answerable cells")
-        for cell in sorted(cells, key=_cell_rank):
-            params = cell["params"]
-            if all(float(params[axis]) == point[axis] for axis in AXES):
-                return {
-                    "point": point,
-                    "source": "exact",
-                    "distance": 0.0,
-                    "metrics": cell["metrics"],
-                    "cells": [_answer_cell_entry(cell, 1.0)],
-                }
+        cell = self._exact.get(tuple(point[axis] for axis in AXES))
+        if cell is not None:
+            return _single_cell_answer(point, "exact", cell, 0.0)
         if interpolate:
             answer = bilinear_answer(cells, point)
             if answer is not None:
                 answer["point"] = point
                 answer["distance"] = None
                 return answer
-        answer, distance = self._nearest_answer(point, cells)
+        cell, distance = self._nearest(point)
         if self.max_distance is not None and distance > self.max_distance:
             return self._miss(
                 point,
                 f"nearest cell is at normalized distance {distance:.4f}, "
                 f"beyond the allowed {self.max_distance}",
             )
-        return answer
+        return _single_cell_answer(point, "nearest", cell, distance)
 
     def _miss(self, point: dict[str, float], reason: str) -> dict:
         """Apply the miss policy: raise, or compute the point fresh."""
@@ -477,6 +491,31 @@ class QueryEngine:
             return self._compute_ungated(point)
         finally:
             self.gate.release()
+
+    def _sweep_for_compute(self, point: dict[str, float]):
+        """The sweep spec a computed answer inherits its parameters from.
+
+        A single store's sweep, its error included, is used as is.  Over
+        several stores the one holding the nearest answerable cell goes
+        first, then the others in order; a store whose manifest cannot
+        rebuild a sweep is skipped, and the error names every failure.
+        """
+        if len(self.stores) == 1:
+            return self.stores[0].sweep()
+        ordered = list(self.stores)
+        if self.load()._cells:
+            owner = self._nearest(point)[0]["store"]
+            ordered.sort(key=lambda store: str(store.directory) != owner)
+        errors: list[str] = []
+        for store in ordered:
+            try:
+                return store.sweep()
+            except ServingError as exc:
+                errors.append(f"{store.directory}: {exc}")
+        raise ServingError(
+            f"no store can rebuild a sweep to compute {point} from: "
+            + "; ".join(errors)
+        )
 
     def _compute_ungated(self, point: dict[str, float]) -> dict:
         """Simulate the queried point and answer from fresh aggregates."""
@@ -528,10 +567,10 @@ class QueryEngine:
         honestly flagged beats a 429 — and is never cached.  Returns
         ``None`` when the store holds nothing to fall back on.
         """
-        cells = self.answer_cells()
-        if not cells:
+        if not self.load()._cells:
             return None
-        answer, _ = self._nearest_answer(point, cells)
+        cell, distance = self._nearest(point)
+        answer = _single_cell_answer(point, "nearest", cell, distance)
         answer["degraded"] = True
         return answer
 
@@ -583,7 +622,6 @@ class QueryEngine:
                 ),
                 stacklevel=2,
             )
-            fallback = dict(fallback)
             fallback["cached"] = False
             return fallback
         except DeadlineExceeded:
@@ -595,10 +633,35 @@ class QueryEngine:
         return answer
 
     def stats(self) -> dict:
-        """Cache counters plus store and policy descriptors (for ``/stats``)."""
+        """Cache counters plus store and policy descriptors (for ``/stats``).
+
+        The ``store`` section describes one store by its directory and
+        counts; several stores by their totals plus one entry per store.
+        """
+        members = [
+            {
+                "directory": str(store.directory),
+                "n_cells": len(store.cells()),
+                "n_answerable": len(store.answerable_cells()),
+            }
+            for store in self.stores
+        ]
+        if len(members) == 1:
+            store_stats = dict(members[0], generation=self.generation)
+        else:
+            store_stats = {
+                "federated": True,
+                "n_stores": len(members),
+                "n_cells": sum(entry["n_cells"] for entry in members),
+                "n_answerable": sum(
+                    entry["n_answerable"] for entry in members
+                ),
+                "generation": self.generation,
+                "stores": members,
+            }
         stats = {
             "cache": self.cache.stats(),
-            "store": self._store_stats(),
+            "store": store_stats,
             "policy": {
                 "interpolate": self.interpolate,
                 "on_miss": self.on_miss,

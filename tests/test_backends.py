@@ -335,6 +335,91 @@ class TestKernelConstants:
         assert len(codes) == 4
 
 
+class TestLemireRejection:
+    """The bounded sampler's rejection branch, forced at sampler size 3.
+
+    Lemire's sampler rejects a 32-bit candidate whose leftover
+    ``(candidate * size) mod 2**32`` falls below ``(2**32 - size) % size``.
+    At size 3 that threshold is 1, so a candidate of 0 (leftover 0) is
+    rejected exactly once and the retry reads the buffered high half of the
+    same word.  A natural draw hits this with probability 2**-32, so
+    the test writes a word with a zero low half into the replica's block at
+    the candidate position; every backend reads that same buffer.
+    """
+
+    #: Low half 0 (rejected); high half 0xDEADBEEF (accepted: index 2).
+    WORD = 0xDEADBEEF_00000000
+    CONFIG = ModelConfig.square(side=12, horizon=1, tau=0.45)
+    SEED = 1
+
+    def _steps_to_size_three(self):
+        """Rounds until the sampler holds 3 sites and no buffered half-word."""
+        engine = EnsembleDynamics(
+            self.CONFIG, n_replicas=1, seed=self.SEED, backend="numpy"
+        )
+        for steps in range(500):
+            streams = engine._streams
+            if engine.flippable_counts()[0] == 3 and not streams._has32[0]:
+                return steps
+            engine.step_all()
+        pytest.fail("the sampler never reached size 3")
+
+    def _rigged(self, backend, steps):
+        """An engine ``steps`` rounds in, its next candidate word replaced."""
+        engine = EnsembleDynamics(
+            self.CONFIG, n_replicas=1, seed=self.SEED, backend=backend
+        )
+        for _ in range(steps):
+            engine.step_all()
+        streams = engine._streams
+        position = int(streams._pos[0])
+        # The continuous scheduler's waiting time reads the word at
+        # ``position`` first; it must take the ziggurat fast path so the
+        # candidate is the next word.
+        word = int(streams._words[0, position])
+        assert (word >> 11) < int(streams._ke[(word >> 3) & 0xFF])
+        streams._words[0, position + 1] = self.WORD
+        return engine, position
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "numpy",
+            "python",
+            pytest.param(
+                "cffi",
+                marks=pytest.mark.skipif(
+                    "cffi" not in BACKENDS, reason="cffi unavailable"
+                ),
+            ),
+        ],
+    )
+    def test_rejected_candidate_redraws_like_the_host_sampler(self, backend):
+        steps = self._steps_to_size_three()
+        oracle, position = self._rigged("numpy", steps)
+        members = oracle._sets.packed_members(1)  # the flippable sampler
+        assert members.size == 3
+        _, index = oracle._streams.draw(0, 3, True)
+        assert index == ((self.WORD >> 32) * 3) >> 32
+        # Both 32-bit halves of the rigged word went (the rejected candidate
+        # and its accepted retry), so no half-word is left buffered.
+        streams = oracle._streams
+        assert streams._pos[0] == position + 2 and not streams._has32[0]
+
+        reference, _ = self._rigged("numpy", steps)
+        reference.step_all()
+        engine, _ = self._rigged(backend, steps)
+        before = engine.spins.copy()
+        assert engine.step_all().tolist() == [0]
+        for name in ("_pos", "_has32", "_buf32"):
+            np.testing.assert_array_equal(
+                getattr(engine._streams, name), getattr(streams, name)
+            )
+        changed = np.flatnonzero((engine.spins != before).reshape(-1))
+        assert changed.tolist() == [members[index]]
+        np.testing.assert_array_equal(engine.spins, reference.spins)
+
+
 class TestSweepProvenance:
     def _sweep(self):
         return SweepSpec(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import ModelConfig
 from repro.core.variants import VariantSpec
-from repro.errors import ExperimentError
+from repro.errors import CheckpointWarning, ExperimentError
 from repro.experiments.checkpoint import (
     MANIFEST_FORMAT,
     SweepCheckpoint,
@@ -198,6 +198,30 @@ class TestResume:
             small_sweep, workers=1, checkpoint_dir=tmp_path
         )
         assert len(calls) == 1  # only the torn cell reruns
+        assert comparable_rows(resumed) == comparable_rows(run_sweep(small_sweep))
+
+    @pytest.mark.parametrize("line", ["[1,2]", "7", "null"])
+    def test_non_object_json_line_is_skipped_with_a_warning(
+        self, small_sweep, tmp_path, monkeypatch, line
+    ):
+        """Valid JSON that is not a record object is dropped, not a crash."""
+        run_sweep_parallel(small_sweep, workers=1, checkpoint_dir=tmp_path)
+        metrics = tmp_path / "metrics.jsonl"
+        with metrics.open("a") as handle:
+            handle.write(line + "\n")
+        number = small_sweep.n_cells() + 1
+
+        calls = self._count_runs(monkeypatch)
+        with pytest.warns(CheckpointWarning) as caught:
+            resumed = run_sweep_parallel(
+                small_sweep, workers=1, checkpoint_dir=tmp_path
+            )
+        assert calls == []  # every real record still loads
+        [warning] = [w for w in caught if w.category is CheckpointWarning]
+        message = str(warning.message)
+        assert str(metrics) in message
+        assert f"line {number} ({len(line)} bytes)" in message
+        assert "not a JSON object" in message
         assert comparable_rows(resumed) == comparable_rows(run_sweep(small_sweep))
 
     def test_record_after_torn_tail_does_not_corrupt_log(

@@ -1,4 +1,4 @@
-"""Federation tests: routing by parameter coverage across many stores.
+"""Multi-store tests: one engine routing by parameter coverage across stores.
 
 Synthetic summary-only stores fabricate coverage shapes (disjoint regions,
 overlapping points, ragged grids); the compute-routing seam is exercised by
@@ -11,13 +11,7 @@ import json
 import pytest
 
 from repro.errors import ServingError
-from repro.serving import (
-    ArtifactStore,
-    FederatedQueryEngine,
-    LRUCache,
-    QueryEngine,
-    build_engine,
-)
+from repro.serving import LRUCache, QueryEngine
 
 from test_serving_query import grid_cells, make_cell, write_store
 
@@ -37,33 +31,24 @@ def two_regions(tmp_path):
 
 
 class TestConstruction:
-    def test_build_engine_dispatches_on_store_count(self, two_regions):
-        low, high = two_regions
-        single = build_engine([ArtifactStore(low)])
-        assert type(single) is QueryEngine
-        federated = build_engine([low, high])
-        assert isinstance(federated, FederatedQueryEngine)
-
     def test_no_stores_is_an_error(self):
-        with pytest.raises(ServingError, match="no store"):
-            build_engine([])
-        with pytest.raises(ServingError, match="at least one"):
-            FederatedQueryEngine([])
+        with pytest.raises(ServingError, match="no store.*at least one"):
+            QueryEngine([])
 
     def test_duplicate_directories_are_rejected(self, two_regions):
         low, _ = two_regions
         with pytest.raises(ServingError, match="duplicate"):
-            FederatedQueryEngine([low, low])
+            QueryEngine([low, low])
 
     def test_missing_member_directory_fails_fast(self, two_regions, tmp_path):
         low, _ = two_regions
         with pytest.raises(ServingError, match="not a directory"):
-            FederatedQueryEngine([low, tmp_path / "nope"])
+            QueryEngine([low, tmp_path / "nope"])
 
 
 class TestRouting:
     def test_exact_match_anywhere_wins(self, two_regions):
-        engine = FederatedQueryEngine(two_regions)
+        engine = QueryEngine(two_regions)
         low_answer = engine.answer("tau=0.2,rho=0.4,w=2")
         assert low_answer["source"] == "exact"
         assert low_answer["metrics"]["score"]["mean"] == 1.0
@@ -73,7 +58,7 @@ class TestRouting:
 
     def test_answers_are_tagged_with_the_owning_store(self, two_regions):
         low, high = two_regions
-        engine = FederatedQueryEngine([low, high])
+        engine = QueryEngine([low, high])
         answer = engine.answer("tau=0.8,rho=0.5,w=2")
         assert answer["cells"][0]["store"] == str(high)
         # single-store engines carry no tag (nothing to disambiguate)
@@ -87,7 +72,7 @@ class TestRouting:
         corner under the union-normalized metric — a per-store metric (range
         0.1 per axis within each store) would rank cells differently.
         """
-        engine = FederatedQueryEngine(two_regions)
+        engine = QueryEngine(two_regions)
         answer = engine.answer("tau=0.56,rho=0.45,w=2")
         assert answer["source"] == "nearest"
         assert answer["cells"][0]["store"].endswith("high")
@@ -99,8 +84,8 @@ class TestRouting:
         cell = make_cell(0, 0.3, 2, 0.4, score=1.0)
         a = write_store(tmp_path / "a", [cell])
         b = write_store(tmp_path / "b", [json.loads(json.dumps(cell))])
-        answer = FederatedQueryEngine([b, a]).answer("tau=0.3,rho=0.4,w=2")
-        reversed_answer = FederatedQueryEngine([a, b]).answer(
+        answer = QueryEngine([b, a]).answer("tau=0.3,rho=0.4,w=2")
+        reversed_answer = QueryEngine([a, b]).answer(
             "tau=0.3,rho=0.4,w=2"
         )
         # registration order must not matter; the store tag breaks the tie
@@ -117,7 +102,7 @@ class TestRouting:
             tmp_path / "right",
             [make_cell(0, 0.3, 2, 0.6, score=3.0), make_cell(1, 0.5, 2, 0.6, score=3.0)],
         )
-        engine = FederatedQueryEngine([left, right], interpolate=True)
+        engine = QueryEngine([left, right], interpolate=True)
         answer = engine.answer("tau=0.4,rho=0.5,w=2")
         assert answer["source"] == "interpolated"
         assert answer["metrics"]["score"]["mean"] == pytest.approx(2.0)
@@ -128,7 +113,7 @@ class TestRouting:
         """An omitted axis resolves only when every member pins it alike."""
         a = write_store(tmp_path / "a", grid_cells(w=2))
         b = write_store(tmp_path / "b", grid_cells(w=3))
-        engine = FederatedQueryEngine([a, b])
+        engine = QueryEngine([a, b])
         with pytest.raises(ServingError, match="does not pin"):
             engine.answer("tau=0.3,rho=0.4")
         assert engine.answer("tau=0.3,rho=0.4,w=3")["source"] == "exact"
@@ -139,7 +124,7 @@ class TestComputeRouting:
         self, two_regions
     ):
         low, high = two_regions
-        engine = FederatedQueryEngine([low, high], on_miss="compute")
+        engine = QueryEngine([low, high], on_miss="compute")
         low_sentinel, high_sentinel = object(), object()
         engine.stores[0].sweep = lambda: low_sentinel
         engine.stores[1].sweep = lambda: high_sentinel
@@ -156,7 +141,7 @@ class TestComputeRouting:
         self, two_regions
     ):
         low, high = two_regions
-        engine = FederatedQueryEngine([low, high], on_miss="compute")
+        engine = QueryEngine([low, high], on_miss="compute")
 
         def broken():
             raise ServingError("no manifest")
@@ -168,7 +153,7 @@ class TestComputeRouting:
         assert engine._sweep_for_compute(point) is fallback
 
     def test_no_rebuildable_member_names_every_failure(self, two_regions):
-        engine = FederatedQueryEngine(two_regions, on_miss="compute")
+        engine = QueryEngine(two_regions, on_miss="compute")
         for member in engine.stores:
             member.sweep = lambda member=member: (_ for _ in ()).throw(
                 ServingError(f"broken {member.directory.name}")
@@ -196,7 +181,7 @@ class TestComputeRouting:
             run_sweep_parallel(sweep, workers=1, checkpoint_dir=directory)
             directories.append(directory)
 
-        engine = FederatedQueryEngine(
+        engine = QueryEngine(
             directories, on_miss="compute", max_distance=1e-9
         )
         answer = engine.answer("tau=0.4,rho=0.5,w=1")
@@ -215,7 +200,7 @@ class TestComputeRouting:
 class TestFederatedStats:
     def test_store_section_reports_members_and_totals(self, two_regions):
         low, high = two_regions
-        engine = FederatedQueryEngine(
+        engine = QueryEngine(
             [low, high], cache=LRUCache(4), generation=3
         )
         stats = engine.stats()
@@ -231,7 +216,7 @@ class TestFederatedStats:
         ]
 
     def test_cells_surface_covers_the_union(self, two_regions):
-        engine = FederatedQueryEngine(two_regions)
+        engine = QueryEngine(two_regions)
         cells = engine.answer_cells()
         assert len(cells) == 8
         assert {cell["store"] for cell in cells} == {

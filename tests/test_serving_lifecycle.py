@@ -20,7 +20,6 @@ from repro.serving import (
     QueryEngine,
     QueryService,
     StoreWatcher,
-    build_engine,
     store_signature,
 )
 
@@ -135,7 +134,7 @@ class TestStoreSignature:
 
 def summary_engine(directory, generation=0, cache=None):
     """A loaded engine over a summary-only store at a given generation."""
-    return build_engine(
+    return QueryEngine(
         [ArtifactStore(directory)],
         cache=cache if cache is not None else LRUCache(16),
         generation=generation,
